@@ -183,6 +183,13 @@ fn metrics_out_snapshot_has_all_pipeline_phases() {
         assert!(sum > 0.0, "phase {phase} recorded zero duration: {text}");
         assert_eq!(h.get("count").and_then(rwserve::json::Json::as_u64), Some(1), "{name}");
     }
+    // Both layers of the link classifier timed their forward GEMM.
+    for layer in 0..2 {
+        let name = format!("nn_gemm_ns{{layer=\"{layer}\"}}");
+        let h = histograms.get(&name).unwrap_or_else(|| panic!("missing {name} in {text}"));
+        let count = h.get("count").and_then(rwserve::json::Json::as_u64).unwrap();
+        assert!(count > 0, "{name} recorded nothing: {text}");
+    }
     // The walk engine's own counters rode along.
     let counters = v.get("counters").expect("counters section");
     let walks = counters.get("twalk_walks_total").and_then(rwserve::json::Json::as_u64).unwrap();

@@ -3,9 +3,10 @@
 //! The paper finds classifier training — which lowers to GEMM — dominates
 //! the end-to-end workload, and that vendor GEMM libraries are poorly tuned
 //! for the pipeline's small matrix sizes (§VII-B, §VIII). These kernels make
-//! that trade-off space explorable: a naive triple loop, a transpose-packed
-//! blocked kernel, and a work-stealing parallel kernel, all bit-compatible
-//! in shape semantics.
+//! that trade-off space explorable: a naive triple loop, the register-tiled
+//! SIMD kernel (`simd::gemm`, which reads `B` in place), and a
+//! work-stealing parallel split of it, all bit-compatible in shape
+//! semantics.
 
 use par::{parallel_chunks, ParConfig};
 
@@ -34,8 +35,8 @@ pub fn matmul_naive(a: &Tensor2, b: &Tensor2) -> Tensor2 {
     c
 }
 
-/// `C = A · B` with `B` transposed up front so the inner loop reads both
-/// operands sequentially (cache-friendly; auto-vectorizable).
+/// `C = A · B` on the register-tiled, runtime-dispatched SIMD kernel,
+/// reading both operands in place (no transposed copy of `B`).
 ///
 /// # Panics
 ///
@@ -51,12 +52,16 @@ pub fn matmul_naive(a: &Tensor2, b: &Tensor2) -> Tensor2 {
 /// assert_eq!(gemm::matmul(&a, &b).as_slice(), &[11.0]);
 /// ```
 pub fn matmul(a: &Tensor2, b: &Tensor2) -> Tensor2 {
-    let bt = b.transposed();
-    matmul_transb(a, &bt)
+    let (m, k) = a.shape();
+    let (k2, n) = b.shape();
+    assert_eq!(k, k2, "inner dimensions must agree");
+    let mut c = Tensor2::zeros(m, n);
+    simd::gemm(m, n, k, a.as_slice(), b.as_slice(), c.as_mut_slice(), simd::Epilogue::None);
+    c
 }
 
 /// `C = A · Bᵀ` where `bt` is already transposed (`bt` is `n × k`).
-/// Lowered onto the register-blocked, runtime-dispatched SIMD microkernel.
+/// Lowered onto the dot-form SIMD kernel `simd::gemm_transb`.
 ///
 /// # Panics
 ///
@@ -77,9 +82,8 @@ pub fn matmul_transb(a: &Tensor2, bt: &Tensor2) -> Tensor2 {
 ///
 /// Panics if `A.cols() != B.rows()`.
 pub fn matmul_parallel(a: &Tensor2, b: &Tensor2, par: &ParConfig) -> Tensor2 {
-    let bt = b.transposed();
     let (m, k) = a.shape();
-    let (n, k2) = bt.shape();
+    let (k2, n) = b.shape();
     assert_eq!(k, k2, "inner dimensions must agree");
     let mut c = Tensor2::zeros(m, n);
     let c_ptr = c.as_mut_slice().as_mut_ptr() as usize;
@@ -87,7 +91,8 @@ pub fn matmul_parallel(a: &Tensor2, b: &Tensor2, par: &ParConfig) -> Tensor2 {
         // SAFETY: each worker writes rows lo..hi of C exclusively.
         let cdata = c_ptr as *mut f32;
         let cchunk = unsafe { std::slice::from_raw_parts_mut(cdata.add(lo * n), (hi - lo) * n) };
-        simd::gemm_transb(hi - lo, n, k, &a.as_slice()[lo * k..hi * k], bt.as_slice(), cchunk);
+        let a = &a.as_slice()[lo * k..hi * k];
+        simd::gemm(hi - lo, n, k, a, b.as_slice(), cchunk, simd::Epilogue::None);
     });
     c
 }

@@ -71,28 +71,35 @@ impl Sgd {
         self.lr *= self.decay;
     }
 
-    /// Applies one update to `params` given matching `grads`.
+    /// Applies one update to `params` given matching `grads`. Takes any
+    /// iterator of parameters (a `Vec<&mut Tensor2>`, or the trainer's
+    /// non-collecting one), so a step need not allocate.
     ///
     /// # Panics
     ///
-    /// Panics if `params.len() != grads.len()` or any shape mismatches
-    /// (after the first call establishes velocity shapes).
-    pub fn step(&mut self, mut params: Vec<&mut Tensor2>, grads: &[Tensor2]) {
-        assert_eq!(params.len(), grads.len(), "params/grads length mismatch");
-        if self.momentum == 0.0 {
-            for (p, g) in params.iter_mut().zip(grads) {
-                p.axpy(-self.lr, g);
-            }
-            return;
-        }
-        if self.velocity.is_empty() {
+    /// Panics if `params` and `grads` differ in count or any shape
+    /// mismatches (after the first call establishes velocity shapes).
+    pub fn step<'a>(
+        &mut self,
+        params: impl IntoIterator<Item = &'a mut Tensor2>,
+        grads: &[Tensor2],
+    ) {
+        let mut params = params.into_iter();
+        if self.momentum > 0.0 && self.velocity.is_empty() {
             self.velocity = grads.iter().map(|g| Tensor2::zeros(g.rows(), g.cols())).collect();
         }
-        for ((p, g), v) in params.iter_mut().zip(grads).zip(self.velocity.iter_mut()) {
-            // v ← μv − lr·g in one fused pass, then w ← w + v.
-            v.scale_accum(self.momentum, -self.lr, g);
-            p.axpy(1.0, v);
+        for (i, g) in grads.iter().enumerate() {
+            let p = params.next().expect("params/grads length mismatch");
+            if self.momentum == 0.0 {
+                p.axpy(-self.lr, g);
+            } else {
+                // v ← μv − lr·g in one fused pass, then w ← w + v.
+                let v = &mut self.velocity[i];
+                v.scale_accum(self.momentum, -self.lr, g);
+                p.axpy(1.0, v);
+            }
         }
+        assert!(params.next().is_none(), "params/grads length mismatch");
     }
 }
 

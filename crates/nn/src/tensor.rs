@@ -128,16 +128,6 @@ impl Tensor2 {
         &mut self.data
     }
 
-    /// New tensor containing the given row indices (gather), used for
-    /// mini-batch assembly.
-    pub fn gather_rows(&self, indices: &[usize]) -> Tensor2 {
-        let mut out = Tensor2::zeros(indices.len(), self.cols);
-        for (i, &r) in indices.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(self.row(r));
-        }
-        out
-    }
-
     /// Transposed copy.
     pub fn transposed(&self) -> Tensor2 {
         let mut out = Tensor2::zeros(self.cols, self.rows);
@@ -218,13 +208,6 @@ mod tests {
         assert_eq!(tt.shape(), (3, 2));
         assert_eq!(tt.get(2, 1), 6.0);
         assert_eq!(tt.transposed(), t);
-    }
-
-    #[test]
-    fn gather_rows_selects() {
-        let t = Tensor2::from_rows(&[&[1.0], &[2.0], &[3.0]]);
-        let g = t.gather_rows(&[2, 0]);
-        assert_eq!(g.as_slice(), &[3.0, 1.0]);
     }
 
     #[test]

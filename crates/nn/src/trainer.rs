@@ -6,6 +6,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use crate::mlp::{Targets, Workspace};
 use crate::{metrics, Mlp, OutputHead, Sgd, Tensor2};
 
 /// Training-loop hyperparameters (artifact §A.8: epochs, hidden dims,
@@ -134,19 +135,8 @@ impl Trainer {
         y_valid: &[f32],
     ) -> TrainReport {
         assert_eq!(mlp.head(), OutputHead::Binary, "trainer/head mismatch");
-        self.run(
-            mlp,
-            x_train.rows(),
-            |mlp, idx| {
-                let xb = x_train.gather_rows(idx);
-                let yb: Vec<f32> = idx.iter().map(|&i| y_train[i]).collect();
-                mlp.loss_and_grads_binary(&xb, &yb)
-            },
-            |mlp| {
-                let p = mlp.predict_proba(x_valid);
-                metrics::binary_accuracy(&p, y_valid)
-            },
-        )
+        assert_eq!(y_train.len(), x_train.rows(), "target count mismatch");
+        self.run(mlp, x_train, Targets::Binary(y_train), x_valid, Targets::Binary(y_valid))
     }
 
     /// Trains a multi-class network on integer labels.
@@ -164,32 +154,23 @@ impl Trainer {
         y_valid: &[usize],
     ) -> TrainReport {
         assert_eq!(mlp.head(), OutputHead::MultiClass, "trainer/head mismatch");
-        self.run(
-            mlp,
-            x_train.rows(),
-            |mlp, idx| {
-                let xb = x_train.gather_rows(idx);
-                let yb: Vec<usize> = idx.iter().map(|&i| y_train[i]).collect();
-                mlp.loss_and_grads_multiclass(&xb, &yb)
-            },
-            |mlp| {
-                let p = mlp.predict_class(x_valid);
-                metrics::accuracy(&p, y_valid)
-            },
-        )
+        assert_eq!(y_train.len(), x_train.rows(), "label count mismatch");
+        self.run(mlp, x_train, Targets::MultiClass(y_train), x_valid, Targets::MultiClass(y_valid))
     }
 
-    fn run<B, V>(
+    /// The training loop. One [`Workspace`] sized to `batch_size` carries
+    /// every batch — gather, step, `Sgd::step` — and the block-wise
+    /// validation pass, so after the first batch an epoch allocates
+    /// nothing.
+    fn run(
         &self,
         mlp: &mut Mlp,
-        n_rows: usize,
-        mut batch_fn: B,
-        mut valid_fn: V,
-    ) -> TrainReport
-    where
-        B: FnMut(&Mlp, &[usize]) -> (f32, Vec<Tensor2>),
-        V: FnMut(&Mlp) -> f64,
-    {
+        x_train: &Tensor2,
+        train: Targets<'_>,
+        x_valid: &Tensor2,
+        valid: Targets<'_>,
+    ) -> TrainReport {
+        let n_rows = x_train.rows();
         assert!(n_rows > 0, "no training rows");
         let mut opt = Sgd::new(self.opts.lr).decay(self.opts.lr_decay);
         if self.opts.momentum > 0.0 {
@@ -197,8 +178,10 @@ impl Trainer {
         }
         let mut rng = StdRng::seed_from_u64(self.opts.shuffle_seed);
         let mut order: Vec<usize> = (0..n_rows).collect();
+        let mut ws = Workspace::new(mlp, self.opts.batch_size);
+        let (mut proba, mut classes) = (Vec::new(), Vec::new());
         let start = Instant::now();
-        let mut epochs = Vec::new();
+        let mut epochs = Vec::with_capacity(self.opts.epochs);
 
         for epoch in 0..self.opts.epochs {
             let tick = Instant::now();
@@ -206,13 +189,23 @@ impl Trainer {
             let mut loss_sum = 0.0f64;
             let mut batches = 0usize;
             for idx in order.chunks(self.opts.batch_size) {
-                let (loss, grads) = batch_fn(mlp, idx);
-                opt.step(mlp.params_mut(), &grads);
+                ws.gather(x_train, train, idx);
+                let loss = mlp.train_step(&mut ws, idx.len());
+                opt.step(mlp.params_iter_mut(), ws.grads());
                 loss_sum += loss as f64;
                 batches += 1;
             }
             opt.decay_lr();
-            let valid_accuracy = valid_fn(mlp);
+            let valid_accuracy = match valid {
+                Targets::Binary(y) => {
+                    mlp.predict_proba_into(x_valid, &mut ws.acts, &mut proba);
+                    metrics::binary_accuracy(&proba, y)
+                }
+                Targets::MultiClass(y) => {
+                    mlp.predict_class_into(x_valid, &mut ws.acts, &mut classes);
+                    metrics::accuracy(&classes, y)
+                }
+            };
             epochs.push(EpochStats {
                 epoch,
                 train_loss: loss_sum / batches.max(1) as f64,

@@ -4,10 +4,12 @@
 //! The paper's §V-B GPU optimizations are all about maximizing
 //! per-dimension arithmetic throughput; this crate is the CPU counterpart.
 //! Each public function (`dot`, `axpy`, `scale_accum`,
-//! `fused_sigmoid_grad`, `gemm_transb`) has three implementations:
+//! `fused_sigmoid_grad`, and the three GEMM forms `gemm`, `gemm_transb`,
+//! `gemm_transa_accum`) has three implementations:
 //!
 //! * **AVX2 + FMA** (`x86`/`x86_64`) — 8-lane fused multiply-add kernels;
-//! * **NEON** (`aarch64`) — 4-lane equivalents;
+//! * **NEON** (`aarch64`) — 4-lane equivalents (`gemm` and
+//!   `gemm_transa_accum` point at the scalar code: no NEON host tests them);
 //! * **scalar** — portable unrolled loops, the semantic reference.
 //!
 //! Selection happens **once**, on first use, via
@@ -82,6 +84,8 @@ struct KernelTable {
     scale_accum: fn(&mut [f32], f32, f32, &[f32]),
     fused_sigmoid_grad: fn(f32, &[f32], &mut [f32], &mut [f32]),
     gemm_transb: fn(usize, usize, usize, &[f32], &[f32], &mut [f32]),
+    gemm: fn(usize, usize, usize, &[f32], &[f32], &mut [f32], Epilogue<'_>),
+    gemm_transa_accum: fn(usize, usize, usize, &[f32], &[f32], &mut [f32]),
 }
 
 fn scalar_table() -> KernelTable {
@@ -92,6 +96,8 @@ fn scalar_table() -> KernelTable {
         scale_accum: scalar::scale_accum,
         fused_sigmoid_grad: scalar::fused_sigmoid_grad,
         gemm_transb: scalar::gemm_transb,
+        gemm: scalar::gemm,
+        gemm_transa_accum: scalar::gemm_transa_accum,
     }
 }
 
@@ -123,6 +129,22 @@ mod x86_entry {
         // SAFETY: as above.
         unsafe { x86::gemm_transb(m, n, k, a, bt, c) }
     }
+    pub fn gemm(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        epi: super::Epilogue<'_>,
+    ) {
+        // SAFETY: as above; `super::gemm` checked every buffer length.
+        unsafe { x86::gemm(m, n, k, a, b, c, epi) }
+    }
+    pub fn gemm_transa_accum(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+        // SAFETY: as above; `super::gemm_transa_accum` checked every length.
+        unsafe { x86::gemm_transa_accum(m, n, k, a, b, c) }
+    }
 }
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -134,6 +156,8 @@ fn avx2_table() -> KernelTable {
         scale_accum: x86_entry::scale_accum,
         fused_sigmoid_grad: x86_entry::fused_sigmoid_grad,
         gemm_transb: x86_entry::gemm_transb,
+        gemm: x86_entry::gemm,
+        gemm_transa_accum: x86_entry::gemm_transa_accum,
     }
 }
 
@@ -173,6 +197,8 @@ fn neon_table() -> KernelTable {
         scale_accum: neon_entry::scale_accum,
         fused_sigmoid_grad: neon_entry::fused_sigmoid_grad,
         gemm_transb: neon_entry::gemm_transb,
+        gemm: scalar::gemm,
+        gemm_transa_accum: scalar::gemm_transa_accum,
     }
 }
 
@@ -260,8 +286,8 @@ pub fn fused_sigmoid_grad(g: f32, h: &[f32], t: &mut [f32], e: &mut [f32]) {
 
 /// `C = A · Bᵀ` where `a` is `m × k`, `bt` is `n × k` (`B` already
 /// transposed) and `c` is `m × n`, all row-major and packed; `c` is
-/// overwritten. This is the register-blocked GEMM microkernel the `nn`
-/// crate's `matmul*` functions sit on.
+/// overwritten. A dense layer's input gradient `δ·Wᵀ` is this form with
+/// the weights as stored.
 ///
 /// # Panics
 ///
@@ -272,6 +298,82 @@ pub fn gemm_transb(m: usize, n: usize, k: usize, a: &[f32], bt: &[f32], c: &mut 
     assert_eq!(bt.len(), n * k, "Bᵀ buffer does not match n × k");
     assert_eq!(c.len(), m * n, "C buffer does not match m × n");
     (KERNELS.gemm_transb)(m, n, k, a, bt, c)
+}
+
+/// What [`gemm`] does to each output tile before storing it, so a dense
+/// layer's bias and activation cost no extra pass over the output.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Epilogue<'a> {
+    /// Store `A · B` as is.
+    None,
+    /// Add `bias` (length `n`) to every output row.
+    Bias(&'a [f32]),
+    /// Add `bias`, then clamp negatives (and NaN) to zero: ReLU.
+    BiasRelu(&'a [f32]),
+}
+
+impl<'a> Epilogue<'a> {
+    fn bias(self) -> Option<&'a [f32]> {
+        match self {
+            Epilogue::None => None,
+            Epilogue::Bias(b) | Epilogue::BiasRelu(b) => Some(b),
+        }
+    }
+
+    fn relu(self) -> bool {
+        matches!(self, Epilogue::BiasRelu(_))
+    }
+
+    /// Applies the epilogue to one finished output row (scalar form).
+    fn apply(self, row: &mut [f32]) {
+        if let Some(bias) = self.bias() {
+            for (v, b) in row.iter_mut().zip(bias) {
+                *v += b;
+            }
+        }
+        if self.relu() {
+            for v in row {
+                *v = v.max(0.0);
+            }
+        }
+    }
+}
+
+/// `C = A · B` with `epi` applied to each output tile before it is
+/// stored, where `a` is `m × k`, `b` is `k × n` and `c` is `m × n`, all
+/// row-major and packed; `c` is overwritten. A dense layer's forward
+/// `relu(X·W + b)` is `gemm(.., Epilogue::BiasRelu(b))` with the weights
+/// as stored.
+///
+/// # Panics
+///
+/// Panics if any buffer length does not match its shape, or a bias is
+/// not `n` long.
+#[inline]
+pub fn gemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32], epi: Epilogue<'_>) {
+    assert_eq!(a.len(), m * k, "A buffer does not match m × k");
+    assert_eq!(b.len(), k * n, "B buffer does not match k × n");
+    assert_eq!(c.len(), m * n, "C buffer does not match m × n");
+    if let Some(bias) = epi.bias() {
+        assert_eq!(bias.len(), n, "bias does not match n");
+    }
+    (KERNELS.gemm)(m, n, k, a, b, c, epi)
+}
+
+/// `C += Aᵀ · B` where `a` is `m × k`, `b` is `m × n` and `c` is `k × n`,
+/// all row-major and packed; `c` is accumulated into, one rank-1 update
+/// per row of `A` and `B`. A dense layer's weight gradient `Xᵀ·δ` is this
+/// form over the batch, with no transposed copy of `X`.
+///
+/// # Panics
+///
+/// Panics if any buffer length does not match its shape.
+#[inline]
+pub fn gemm_transa_accum(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    assert_eq!(a.len(), m * k, "A buffer does not match m × k");
+    assert_eq!(b.len(), m * n, "B buffer does not match m × n");
+    assert_eq!(c.len(), k * n, "C buffer does not match k × n");
+    (KERNELS.gemm_transa_accum)(m, n, k, a, b, c)
 }
 
 #[cfg(test)]

@@ -80,3 +80,43 @@ pub fn gemm_transb(m: usize, n: usize, k: usize, a: &[f32], bt: &[f32], c: &mut 
         }
     }
 }
+
+/// `C = A · B`, then `epi` applied to every output, where `a` is `m × k`,
+/// `b` is `k × n` and `c` is `m × n`, all row-major and packed. `c` is
+/// overwritten. Each output row is built as `k` scaled-row updates.
+pub fn gemm(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    epi: crate::Epilogue<'_>,
+) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), k * n);
+    debug_assert_eq!(c.len(), m * n);
+    for i in 0..m {
+        let crow = &mut c[i * n..(i + 1) * n];
+        crow.fill(0.0);
+        for p in 0..k {
+            axpy(a[i * k + p], &b[p * n..(p + 1) * n], crow);
+        }
+        epi.apply(crow);
+    }
+}
+
+/// `C += Aᵀ · B` where `a` is `m × k`, `b` is `m × n` and `c` is `k × n`,
+/// all row-major and packed: one rank-1 update `C += a_rᵀ · b_r` per row
+/// `r` — the weight gradient `Xᵀ·δ` of a dense layer.
+pub fn gemm_transa_accum(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), m * n);
+    debug_assert_eq!(c.len(), k * n);
+    for r in 0..m {
+        let brow = &b[r * n..(r + 1) * n];
+        for p in 0..k {
+            axpy(a[r * k + p], brow, &mut c[p * n..(p + 1) * n]);
+        }
+    }
+}

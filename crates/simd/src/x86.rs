@@ -12,10 +12,11 @@
 //!
 //! Memory safety inside the kernels is bounds-driven, not type-driven: all
 //! pointer arithmetic stays within `slice.len()` elements of the slice the
-//! pointer was derived from (`while i + W <= n` main loops, scalar
-//! remainder loops for the tail), and unaligned loads/stores
-//! (`loadu`/`storeu`) are used throughout so no alignment precondition
-//! exists. See DESIGN.md §10 for the full argument.
+//! pointer was derived from (`while i + W <= n` main loops; for the tail,
+//! scalar remainder loops or `maskload`/`maskstore`, whose masked-out
+//! lanes are never accessed, from a pointer to an in-bounds element), and
+//! unaligned loads/stores (`loadu`/`storeu`) are used throughout so no
+//! alignment precondition exists. See DESIGN.md §10 for the full argument.
 
 #![allow(unsafe_op_in_unsafe_fn)]
 
@@ -144,64 +145,349 @@ pub unsafe fn fused_sigmoid_grad(g: f32, h: &[f32], t: &mut [f32], e: &mut [f32]
     }
 }
 
-/// Register-blocked `C = A · Bᵀ` microkernel: each step keeps one 8-lane
-/// panel of the `A` row in registers and FMAs it against four `Bᵀ` rows at
-/// once (1×4 blocking), so every `A` load feeds four accumulators. Column
-/// and `k` remainders fall back to the single-row dot.
+/// The 8 horizontal sums of `v`, one per lane: lane `j` is `Σ v[j]`. Two
+/// rounds of `hadd` and one cross-half add do all eight reductions at once,
+/// about a fifth of the work of eight separate [`hsum256`]s.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn hsum8(v: [__m256; 8]) -> __m256 {
+    let q0 = _mm256_hadd_ps(_mm256_hadd_ps(v[0], v[1]), _mm256_hadd_ps(v[2], v[3]));
+    let q1 = _mm256_hadd_ps(_mm256_hadd_ps(v[4], v[5]), _mm256_hadd_ps(v[6], v[7]));
+    // q0 = [Σ₀₋₃ v0..v3 | Σ₄₋₇ v0..v3], q1 likewise for v4..v7.
+    _mm256_add_ps(_mm256_permute2f128_ps(q0, q1, 0x20), _mm256_permute2f128_ps(q0, q1, 0x31))
+}
+
+/// One `MR × NR` tile (`MR ≤ 2`, `NR ≤ 4`) of `C = A · Bᵀ` at `(i, j)`:
+/// each 8-lane `k` step loads `MR` rows of `A` and `NR` rows of `Bᵀ` and
+/// FMAs every pair, the `k` tail is one masked step, and all `MR·NR`
+/// dots reduce together in one [`hsum8`].
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn transb_tile<const MR: usize, const NR: usize>(
+    a: *const f32,
+    bt: *const f32,
+    c: *mut f32,
+    (n, k): (usize, usize),
+    (i, j): (usize, usize),
+) {
+    let mut acc = [[_mm256_setzero_ps(); NR]; MR];
+    let full = _mm256_set1_epi32(-1);
+    let mut p = 0;
+    while p < k {
+        let masked = p + 8 > k;
+        let mask = if masked { tail_mask(k - p) } else { full };
+        let bv: [__m256; NR] =
+            core::array::from_fn(|q| load(bt.add((j + q) * k + p), masked, mask));
+        for (r, acc) in acc.iter_mut().enumerate() {
+            let av = load(a.add((i + r) * k + p), masked, mask);
+            for (acc, &bv) in acc.iter_mut().zip(&bv) {
+                *acc = _mm256_fmadd_ps(av, bv, *acc);
+            }
+        }
+        p += 8;
+    }
+    // Lane r·4 + q holds C[i + r][j + q].
+    let sums = hsum8(core::array::from_fn(|l| match (l / 4, l % 4) {
+        (r, q) if r < MR && q < NR => acc[r][q],
+        _ => _mm256_setzero_ps(),
+    }));
+    if MR == 2 && NR == 4 {
+        _mm_storeu_ps(c.add(i * n + j), _mm256_castps256_ps128(sums));
+        _mm_storeu_ps(c.add((i + 1) * n + j), _mm256_extractf128_ps(sums, 1));
+    } else {
+        let mut lanes = [0.0f32; 8];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), sums);
+        for r in 0..MR {
+            for q in 0..NR {
+                *c.add((i + r) * n + j + q) = lanes[r * 4 + q];
+            }
+        }
+    }
+}
+
+/// Every tile of `MR` rows starting at row `i`: 4-wide, then the ragged
+/// remainder of columns.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn transb_rows<const MR: usize>(
+    a: *const f32,
+    bt: *const f32,
+    c: *mut f32,
+    nk: (usize, usize),
+    i: usize,
+) {
+    let n = nk.0;
+    let mut j = 0;
+    while j + 4 <= n {
+        transb_tile::<MR, 4>(a, bt, c, nk, (i, j));
+        j += 4;
+    }
+    match n - j {
+        3 => transb_tile::<MR, 3>(a, bt, c, nk, (i, j)),
+        2 => transb_tile::<MR, 2>(a, bt, c, nk, (i, j)),
+        1 => transb_tile::<MR, 1>(a, bt, c, nk, (i, j)),
+        _ => {}
+    }
+}
+
+/// Register-tiled `C = A · Bᵀ` microkernel: 2 × 4 output tiles, so each
+/// step's 6 loads feed 8 FMAs, and one combined reduction per tile in
+/// place of eight horizontal sums — which dominate when `k` is short.
 #[target_feature(enable = "avx2", enable = "fma")]
 pub unsafe fn gemm_transb(m: usize, n: usize, k: usize, a: &[f32], bt: &[f32], c: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(bt.len(), n * k);
     debug_assert_eq!(c.len(), m * n);
-    let ap = a.as_ptr();
-    let bp = bt.as_ptr();
-    let cp = c.as_mut_ptr();
-    for i in 0..m {
-        let ar = ap.add(i * k);
-        let cr = cp.add(i * n);
-        let mut j = 0;
-        while j + 4 <= n {
-            let b0 = bp.add(j * k);
-            let b1 = bp.add((j + 1) * k);
-            let b2 = bp.add((j + 2) * k);
-            let b3 = bp.add((j + 3) * k);
-            let mut acc0 = _mm256_setzero_ps();
-            let mut acc1 = _mm256_setzero_ps();
-            let mut acc2 = _mm256_setzero_ps();
-            let mut acc3 = _mm256_setzero_ps();
-            let mut p = 0;
-            while p + 8 <= k {
-                let av = _mm256_loadu_ps(ar.add(p));
-                acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b0.add(p)), acc0);
-                acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b1.add(p)), acc1);
-                acc2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b2.add(p)), acc2);
-                acc3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b3.add(p)), acc3);
-                p += 8;
-            }
-            let mut s0 = hsum256(acc0);
-            let mut s1 = hsum256(acc1);
-            let mut s2 = hsum256(acc2);
-            let mut s3 = hsum256(acc3);
-            while p < k {
-                let av = *ar.add(p);
-                s0 += av * *b0.add(p);
-                s1 += av * *b1.add(p);
-                s2 += av * *b2.add(p);
-                s3 += av * *b3.add(p);
-                p += 1;
-            }
-            *cr.add(j) = s0;
-            *cr.add(j + 1) = s1;
-            *cr.add(j + 2) = s2;
-            *cr.add(j + 3) = s3;
-            j += 4;
+    let (a, bt, c) = (a.as_ptr(), bt.as_ptr(), c.as_mut_ptr());
+    let mut i = 0;
+    while i + 2 <= m {
+        transb_rows::<2>(a, bt, c, (n, k), i);
+        i += 2;
+    }
+    if i < m {
+        transb_rows::<1>(a, bt, c, (n, k), i);
+    }
+}
+
+/// Lanes `0..rem` set, the rest clear: the mask of a ragged tail.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn tail_mask(rem: usize) -> __m256i {
+    debug_assert!(rem < 8);
+    _mm256_cmpgt_epi32(_mm256_set1_epi32(rem as i32), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
+}
+
+/// Loads 8 lanes at `p`, or only the `mask`ed ones (the rest read as 0
+/// and are never touched, so a ragged tail may end at the slice's end).
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn load(p: *const f32, masked: bool, mask: __m256i) -> __m256 {
+    if masked {
+        _mm256_maskload_ps(p, mask)
+    } else {
+        _mm256_loadu_ps(p)
+    }
+}
+
+/// Stores 8 lanes at `p`, or only the `mask`ed ones.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn store(p: *mut f32, v: __m256, masked: bool, mask: __m256i) {
+    if masked {
+        _mm256_maskstore_ps(p, mask, v)
+    } else {
+        _mm256_storeu_ps(p, v)
+    }
+}
+
+/// One strided GEMM `C[i, j] (+)= Σ_s A(i, s) · B[s, j]` over `rows ×
+/// cols` outputs and `steps` terms, where `A(i, s) = a[i·ars + s·aps]`
+/// and `B`, `C` are row-major with row strides `ldb`, `ldc`. The plain
+/// form `A·B` is `ars = k, aps = 1`; the transposed form `Aᵀ·B` is
+/// `ars = 1, aps = k` — the same microkernel reads either layout in
+/// place. `bias` (null for none, else `cols` long) and `relu` are the
+/// overwrite epilogue; `accumulate` adds into `C` instead.
+///
+/// Callers guarantee every index the ranges imply lies inside the buffer
+/// its pointer came from.
+struct Strided {
+    a: *const f32,
+    ars: usize,
+    aps: usize,
+    steps: usize,
+    b: *const f32,
+    ldb: usize,
+    c: *mut f32,
+    ldc: usize,
+    rows: usize,
+    cols: usize,
+    bias: *const f32,
+    relu: bool,
+    accumulate: bool,
+}
+
+/// The register tile: `MR` output rows × `NV` 8-lane column vectors, the
+/// last one masked when `MASKED`. Each step loads `NV` vectors of one `B`
+/// row and FMAs them against `MR` broadcast `A` elements, so `MR·NV`
+/// accumulators stay in registers for the whole `steps` loop; the
+/// epilogue runs on them before the single store.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn tile<const MR: usize, const NV: usize, const MASKED: bool>(
+    g: &Strided,
+    i: usize,
+    j: usize,
+    mask: __m256i,
+) {
+    let mut acc = [[_mm256_setzero_ps(); NV]; MR];
+    for s in 0..g.steps {
+        let ap = g.a.add(i * g.ars + s * g.aps);
+        let bp = g.b.add(s * g.ldb + j);
+        let mut bv = [_mm256_setzero_ps(); NV];
+        for (v, bv) in bv.iter_mut().enumerate() {
+            *bv = load(bp.add(8 * v), MASKED && v + 1 == NV, mask);
         }
-        while j < n {
-            *cr.add(j) = dot(
-                core::slice::from_raw_parts(ar, k),
-                core::slice::from_raw_parts(bp.add(j * k), k),
-            );
-            j += 1;
+        for (r, acc) in acc.iter_mut().enumerate() {
+            let av = _mm256_set1_ps(*ap.add(r * g.ars));
+            for (acc, &bv) in acc.iter_mut().zip(&bv) {
+                *acc = _mm256_fmadd_ps(av, bv, *acc);
+            }
         }
     }
+    let zero = _mm256_setzero_ps();
+    for v in 0..NV {
+        let masked = MASKED && v + 1 == NV;
+        let col = j + 8 * v;
+        let bias = if g.bias.is_null() { zero } else { load(g.bias.add(col), masked, mask) };
+        for (r, acc) in acc.iter().enumerate() {
+            let cp = g.c.add((i + r) * g.ldc + col);
+            let mut x = acc[v];
+            if g.accumulate {
+                x = _mm256_add_ps(load(cp, masked, mask), x);
+            } else {
+                x = _mm256_add_ps(x, bias);
+                if g.relu {
+                    x = _mm256_max_ps(x, zero);
+                }
+            }
+            store(cp, x, masked, mask);
+        }
+    }
+}
+
+/// All tiles of `MR` output rows starting at row `i`: 16-wide, then one
+/// tile for the remaining 1–15 columns — 8-wide unmasked when exactly 8
+/// remain, else 8- or 16-wide with its last vector masked, so a ragged
+/// width loads each broadcast `A` element once.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn row_panel<const MR: usize>(g: &Strided, i: usize) {
+    let full = _mm256_set1_epi32(-1);
+    let mut j = 0;
+    while j + 16 <= g.cols {
+        tile::<MR, 2, false>(g, i, j, full);
+        j += 16;
+    }
+    match g.cols - j {
+        0 => {}
+        8 => tile::<MR, 1, false>(g, i, j, full),
+        rem @ 1..=7 => tile::<MR, 1, true>(g, i, j, tail_mask(rem)),
+        rem => tile::<MR, 2, true>(g, i, j, tail_mask(rem - 8)),
+    }
+}
+
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn strided(g: &Strided) {
+    let mut i = 0;
+    while i + 4 <= g.rows {
+        row_panel::<4>(g, i);
+        i += 4;
+    }
+    match g.rows - i {
+        3 => row_panel::<3>(g, i),
+        2 => row_panel::<2>(g, i),
+        1 => row_panel::<1>(g, i),
+        _ => {}
+    }
+}
+
+/// `R` row dot products against one vector `x` of length `k`, sharing
+/// each `x` load; the `k` tail is a masked load, not a scalar loop.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn dot_rows<const R: usize>(a: *const f32, lda: usize, x: *const f32, k: usize) -> [f32; R] {
+    let mut acc = [_mm256_setzero_ps(); R];
+    let full = _mm256_set1_epi32(-1);
+    let mut p = 0;
+    while p < k {
+        let masked = p + 8 > k;
+        let mask = if masked { tail_mask(k - p) } else { full };
+        let xv = load(x.add(p), masked, mask);
+        for (r, acc) in acc.iter_mut().enumerate() {
+            *acc = _mm256_fmadd_ps(load(a.add(r * lda + p), masked, mask), xv, *acc);
+        }
+        p += 8;
+    }
+    acc.map(|v| hsum256(v))
+}
+
+/// Register-tiled `C = A · B` with a fused bias / ReLU epilogue. A
+/// one-column `B` (a logit layer) is a matrix–vector product, where a
+/// 1-lane tile would waste 7 of 8 lanes: it runs as 4-row blocked dots.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub unsafe fn gemm(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    epi: crate::Epilogue<'_>,
+) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), k * n);
+    debug_assert_eq!(c.len(), m * n);
+    let bias = epi.bias();
+    if n == 1 {
+        let (bias, relu) = (bias.map_or(0.0, |b| b[0]), epi.relu());
+        let finish = |v: f32| if relu { (v + bias).max(0.0) } else { v + bias };
+        let mut i = 0;
+        while i + 4 <= m {
+            let d = dot_rows::<4>(a.as_ptr().add(i * k), k, b.as_ptr(), k);
+            for (r, d) in d.into_iter().enumerate() {
+                c[i + r] = finish(d);
+            }
+            i += 4;
+        }
+        while i < m {
+            c[i] = finish(dot_rows::<1>(a.as_ptr().add(i * k), k, b.as_ptr(), k)[0]);
+            i += 1;
+        }
+        return;
+    }
+    strided(&Strided {
+        a: a.as_ptr(),
+        ars: k,
+        aps: 1,
+        steps: k,
+        b: b.as_ptr(),
+        ldb: n,
+        c: c.as_mut_ptr(),
+        ldc: n,
+        rows: m,
+        cols: n,
+        bias: bias.map_or(core::ptr::null(), <[f32]>::as_ptr),
+        relu: epi.relu(),
+        accumulate: false,
+    });
+}
+
+/// Register-tiled `C += Aᵀ · B`: tiles of `C` (`k × n`) accumulate over
+/// the `m` rows of `A` and `B`, read in place. A one-column `C` (the
+/// weight gradient of a logit layer) runs transposed — `Cᵀ += Bᵀ·A`, one
+/// output row with `A`'s rows as the vector loads — so its lanes stay full.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub unsafe fn gemm_transa_accum(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), m * n);
+    debug_assert_eq!(c.len(), k * n);
+    let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    let null = core::ptr::null();
+    let (a, ars, aps, b, ld, rows, cols) =
+        if n == 1 { (b, 0, 1, a, k, 1, k) } else { (a, 1, k, b, n, k, n) };
+    strided(&Strided {
+        a,
+        ars,
+        aps,
+        steps: m,
+        b,
+        ldb: ld,
+        c,
+        ldc: ld,
+        rows,
+        cols,
+        bias: null,
+        relu: false,
+        accumulate: true,
+    });
 }

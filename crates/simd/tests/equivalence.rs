@@ -1,8 +1,9 @@
 //! Property tests: the dispatched kernels agree with the scalar reference
 //! within 1e-4 relative tolerance, across every remainder-lane case
-//! (lengths 0..=67 cover all residues mod 8 and mod 16 plus the blocked
-//! GEMM's 1×4 column remainders) and across unaligned slice offsets
-//! (0..=3 elements, shifting 16-/32-byte alignment).
+//! (lengths 0..=67 cover all residues mod 8 and mod 16; the GEMM shape
+//! grid covers the register tiles' row, 16-/8-column and masked-column
+//! remainders, one-column and one-term products) and across unaligned
+//! slice offsets (0..=3 elements, shifting 16-/32-byte alignment).
 //!
 //! On SIMD hardware these exercise the intrinsics paths; under
 //! `SIMD_FORCE_SCALAR=1` or Miri they degenerate to scalar-vs-scalar,
@@ -117,29 +118,78 @@ fn fused_sigmoid_grad_matches_scalar_reference() {
     }
 }
 
+/// Every GEMM dimension takes each of these: empty, below / at / above
+/// one 8-lane vector and one 16-wide tile, and the MLP's widths.
+fn gemm_dims() -> &'static [usize] {
+    // Miri interprets every flop; keep its grid to the remainder classes.
+    if cfg!(miri) {
+        &[0, 1, 3, 9, 17]
+    } else {
+        &[0, 1, 2, 3, 7, 8, 9, 16, 17, 33, 64]
+    }
+}
+
+/// `(m, n, k, off)` over the full shape grid × offsets 0..=3.
+fn gemm_grid() -> impl Iterator<Item = (usize, usize, usize, usize)> {
+    let d = gemm_dims();
+    d.iter().flat_map(move |&m| {
+        d.iter().flat_map(move |&n| {
+            d.iter().flat_map(move |&k| OFFSETS.iter().map(move |&off| (m, n, k, off)))
+        })
+    })
+}
+
 #[test]
-fn gemm_matches_scalar_reference() {
+fn gemm_plain_matches_scalar_reference() {
+    let mut s = Stream(7);
+    for (m, n, k, off) in gemm_grid() {
+        let a = s.vec(m * k + off);
+        let b = s.vec(k * n + off);
+        let bias = s.vec(n + off);
+        let (a, b, bias) = (&a[off..], &b[off..], &bias[off..]);
+        for (name, epi) in [
+            ("none", simd::Epilogue::None),
+            ("bias", simd::Epilogue::Bias(bias)),
+            ("bias+relu", simd::Epilogue::BiasRelu(bias)),
+        ] {
+            let mut got = vec![f32::NAN; m * n + off];
+            let mut want = vec![f32::NAN; m * n + off];
+            simd::gemm(m, n, k, a, b, &mut got[off..], epi);
+            simd::scalar::gemm(m, n, k, a, b, &mut want[off..], epi);
+            assert_all_close(
+                &got[off..],
+                &want[off..],
+                &format!("gemm {name} {m}x{n}x{k} off={off}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn gemm_transa_accum_matches_scalar_reference() {
+    let mut s = Stream(8);
+    for (m, n, k, off) in gemm_grid() {
+        let a = s.vec(m * k + off);
+        let b = s.vec(m * n + off);
+        let c0 = s.vec(k * n + off);
+        let (mut got, mut want) = (c0.clone(), c0);
+        simd::gemm_transa_accum(m, n, k, &a[off..], &b[off..], &mut got[off..]);
+        simd::scalar::gemm_transa_accum(m, n, k, &a[off..], &b[off..], &mut want[off..]);
+        assert_all_close(&got, &want, &format!("gemm_transa_accum {m}x{n}x{k} off={off}"));
+    }
+}
+
+#[test]
+fn gemm_transb_matches_scalar_reference() {
     let mut s = Stream(5);
-    // Shapes hitting the 1×4 column blocking, its remainders, and k-tails.
-    for (m, n, k) in [
-        (0, 0, 0),
-        (1, 1, 1),
-        (1, 4, 8),
-        (2, 5, 3),
-        (3, 4, 16),
-        (4, 7, 9),
-        (5, 3, 67),
-        (7, 13, 33),
-        (8, 8, 64),
-        (16, 17, 24),
-    ] {
-        let a = s.vec(m * k);
-        let bt = s.vec(n * k);
-        let mut got = vec![f32::NAN; m * n];
-        let mut want = vec![f32::NAN; m * n];
-        simd::gemm_transb(m, n, k, &a, &bt, &mut got);
-        simd::scalar::gemm_transb(m, n, k, &a, &bt, &mut want);
-        assert_all_close(&got, &want, &format!("gemm {m}x{n}x{k}"));
+    for (m, n, k, off) in gemm_grid() {
+        let a = s.vec(m * k + off);
+        let bt = s.vec(n * k + off);
+        let mut got = vec![f32::NAN; m * n + off];
+        let mut want = vec![f32::NAN; m * n + off];
+        simd::gemm_transb(m, n, k, &a[off..], &bt[off..], &mut got[off..]);
+        simd::scalar::gemm_transb(m, n, k, &a[off..], &bt[off..], &mut want[off..]);
+        assert_all_close(&got[off..], &want[off..], &format!("gemm_transb {m}x{n}x{k} off={off}"));
     }
 }
 
@@ -155,4 +205,33 @@ fn gemm_overwrites_stale_output() {
     simd::gemm_transb(m, n, k, &a, &bt, &mut fresh);
     simd::gemm_transb(m, n, k, &a, &bt, &mut stale);
     assert_eq!(fresh, stale);
+}
+
+#[test]
+fn gemm_plain_overwrites_and_transa_accumulates() {
+    let (m, n, k) = (5, 19, 9);
+    let mut s = Stream(9);
+    let a = s.vec(m * k);
+    let b = s.vec(k * n);
+    let bias = s.vec(n);
+    // The overwrite form ignores whatever C held.
+    let epi = simd::Epilogue::BiasRelu(&bias);
+    let mut fresh = vec![0.0f32; m * n];
+    let mut stale = vec![123.0f32; m * n];
+    simd::gemm(m, n, k, &a, &b, &mut fresh, epi);
+    simd::gemm(m, n, k, &a, &b, &mut stale, epi);
+    assert_eq!(fresh, stale);
+    // The accumulate form adds: into C0 it gives C0 + (the product into
+    // zeros), and a second call adds the product again.
+    let bm = s.vec(m * n);
+    let c0 = s.vec(k * n);
+    let mut product = vec![0.0f32; k * n];
+    simd::gemm_transa_accum(m, n, k, &a, &bm, &mut product);
+    let mut c = c0.clone();
+    simd::gemm_transa_accum(m, n, k, &a, &bm, &mut c);
+    let once: Vec<f32> = c0.iter().zip(&product).map(|(x, p)| x + p).collect();
+    assert_all_close(&c, &once, "accumulate once");
+    simd::gemm_transa_accum(m, n, k, &a, &bm, &mut c);
+    let twice: Vec<f32> = once.iter().zip(&product).map(|(x, p)| x + p).collect();
+    assert_all_close(&c, &twice, "accumulate twice");
 }
