@@ -68,39 +68,6 @@ fn bench_axpy(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_fused_grad(c: &mut Criterion) {
-    let mut group = c.benchmark_group("simd/fused_sigmoid_grad");
-    group.sample_size(50);
-    for dim in [8usize, 128] {
-        let h = filled(dim, 5);
-        let mut t = filled(dim, 6);
-        let mut e = filled(dim, 7);
-        group.bench_with_input(BenchmarkId::new("fused", dim), &dim, |bch, _| {
-            bch.iter(|| {
-                for _ in 0..1024 {
-                    simd::fused_sigmoid_grad(
-                        black_box(1e-4),
-                        black_box(&h),
-                        black_box(&mut t),
-                        black_box(&mut e),
-                    );
-                }
-            });
-        });
-        let (mut t2, mut e2) = (filled(dim, 6), filled(dim, 7));
-        group.bench_with_input(BenchmarkId::new("two_axpys", dim), &dim, |bch, _| {
-            bch.iter(|| {
-                for _ in 0..1024 {
-                    let t_old = t2.clone();
-                    simd::axpy(black_box(1e-4), black_box(&t_old), black_box(&mut e2));
-                    simd::axpy(black_box(1e-4), black_box(&h), black_box(&mut t2));
-                }
-            });
-        });
-    }
-    group.finish();
-}
-
 fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("simd/gemm_transb");
     group.sample_size(20);
@@ -124,5 +91,5 @@ fn bench_gemm(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_dot, bench_axpy, bench_fused_grad, bench_gemm);
+criterion_group!(benches, bench_dot, bench_axpy, bench_gemm);
 criterion_main!(benches);

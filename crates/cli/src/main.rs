@@ -7,13 +7,11 @@
 //!                 [--sampler uniform|softmax|recency|linear] [--static]
 //!                 [--engine auto|perwalk|batched|interleaved]
 //!                 [--sampler-method auto|cdf|alias|rejection]
-//!                 [--fused on|off|auto]
 //! rwalk nodeclass [--dataset NAME] [--scale S] [--walks K] [--len N]
 //!                 [--dim D] [--threads T] [--gpu] [--seed X]
 //!                 [--sampler uniform|softmax|recency|linear] [--static]
 //!                 [--engine auto|perwalk|batched|interleaved]
 //!                 [--sampler-method auto|cdf|alias|rejection]
-//!                 [--fused on|off|auto]
 //! rwalk sweep     [--dataset NAME] [--scale S]   # Fig. 8 mini-sweep
 //! rwalk profile   [--dataset NAME] [--scale S]   # instruction mix + stalls
 //! rwalk serve     [--dataset NAME | --wel FILE | --graph-store FILE]
@@ -35,10 +33,7 @@
 //! the same distribution, so both are pure performance knobs). Forcing a
 //! table method (`alias`, `rejection`) on a closed-form bias (`uniform`,
 //! `linear`) is rejected at parse time. `--scale`, `--walks`, `--len`,
-//! and `--dim` must be positive. `--fused` controls the streaming
-//! walk→train pipeline (DESIGN.md §16): `on` overlaps phases 1–2 behind
-//! the bounded corpus channel, `off` materializes the corpus first, and
-//! `auto` (default) fuses when the corpus is large enough to pay off.
+//! and `--dim` must be positive.
 //!
 //! Every command additionally accepts `--metrics-out <path>`: it enables
 //! the process-global metrics recorder and, after the command succeeds,
@@ -67,7 +62,7 @@
 
 use std::process::ExitCode;
 
-use rwalk_core::{Backend, EmbeddingStrategy, FusedMode, Hyperparams, Pipeline};
+use rwalk_core::{Backend, EmbeddingStrategy, Hyperparams, Pipeline};
 use twalk::{SamplingMethod, TransitionSampler, WalkEngine};
 
 fn main() -> ExitCode {
@@ -145,7 +140,6 @@ struct Options {
     sampler: TransitionSampler,
     sampler_method: SamplingMethod,
     engine: WalkEngine,
-    fused: FusedMode,
     static_walks: bool,
     port: u16,
     max_batch: usize,
@@ -179,7 +173,6 @@ impl Options {
             sampler: TransitionSampler::Softmax,
             sampler_method: SamplingMethod::Auto,
             engine: WalkEngine::Auto,
-            fused: FusedMode::Auto,
             static_walks: false,
             port: 7878,
             max_batch: 64,
@@ -228,18 +221,6 @@ impl Options {
                 }
                 "--engine" => {
                     o.engine = val("--engine")?.parse().map_err(|e| format!("--engine: {e}"))?
-                }
-                "--fused" => {
-                    o.fused = match val("--fused")?.trim().to_ascii_lowercase().as_str() {
-                        "on" => FusedMode::On,
-                        "off" => FusedMode::Off,
-                        "auto" => FusedMode::Auto,
-                        other => {
-                            return Err(format!(
-                                "--fused: unknown mode {other:?} (valid values: on, off, auto)"
-                            ))
-                        }
-                    }
                 }
                 "--static" => o.static_walks = true,
                 "--port" => o.port = val("--port")?.parse().map_err(|e| format!("--port: {e}"))?,
@@ -348,7 +329,6 @@ impl Options {
             .with_sampler_method(self.sampler_method)
             .with_engine(self.engine)
             .with_strategy(strategy)
-            .with_fused(self.fused)
     }
 
     fn pipeline(&self) -> Pipeline {

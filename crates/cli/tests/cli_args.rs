@@ -29,9 +29,8 @@ fn rejected_flag_combinations_fail_with_explanations() {
         (&["linkpred", "--engine", "gpu"], "unknown engine"),
         (&["linkpred", "--sampler-method", "vose"], "unknown sampling method"),
         (&["linkpred", "--sampler-method", "vose"], "auto, cdf, alias, rejection"),
-        (&["linkpred", "--fused", "yes"], "valid values: on, off, auto"),
-        (&["linkpred", "--fused", ""], "--fused"),
-        (&["linkpred", "--fused"], "--fused needs a value"),
+        // The fused walk→train pipeline is gone, and its flag with it.
+        (&["linkpred", "--fused", "on"], "unknown flag"),
         // Forcing a table method on a closed-form bias is a cross-flag
         // error caught at parse time, whichever order the flags come in.
         (&["linkpred", "--sampler", "uniform", "--sampler-method", "alias"], "closed form"),
@@ -135,9 +134,6 @@ fn accepted_spellings_are_case_and_separator_insensitive() {
         ["datasets", "--engine", "Interleaved"],
         ["datasets", "--sampler-method", "ALIAS"],
         ["datasets", "--sampler-method", " Rejection "],
-        ["datasets", "--fused", "ON"],
-        ["datasets", "--fused", " Off "],
-        ["datasets", "--fused", "auto"],
     ] {
         let out = rwalk(&args);
         assert!(out.status.success(), "rwalk {args:?} failed: {}", stderr(&out));
@@ -194,6 +190,17 @@ fn metrics_out_snapshot_has_all_pipeline_phases() {
     let counters = v.get("counters").expect("counters section");
     let walks = counters.get("twalk_walks_total").and_then(rwserve::json::Json::as_u64).unwrap();
     assert!(walks > 0, "no walks counted: {text}");
+    // word2vec's counters: a step is one (context, target) score, and a
+    // negative-table draw happens once per centre, shared by its window.
+    let counter = |name: &str| {
+        counters.get(name).and_then(rwserve::json::Json::as_u64).unwrap_or_else(|| {
+            panic!("missing {name} in {text}");
+        })
+    };
+    let steps = counter("embed_grad_steps_total");
+    let draws = counter("embed_negative_draws_total");
+    assert!(steps > 0, "no gradient steps counted: {text}");
+    assert!(0 < draws && draws < steps, "draws {draws} vs steps {steps}: {text}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

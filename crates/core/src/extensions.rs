@@ -125,7 +125,6 @@ impl Pipeline {
                 train_total: train_report.total_time,
                 train_per_epoch: train_report.mean_epoch_time(),
                 test: test_time,
-                fused: None,
             },
             walk_stats,
             sampler_build: walks.sampler_stats(),

@@ -24,30 +24,6 @@ pub enum EmbeddingStrategy {
     },
 }
 
-/// Whether phases 1–2 run as the fused streaming pipeline (walk workers
-/// feeding hogwild trainers through a bounded channel) or sequentially
-/// (materialize the full corpus, then train).
-///
-/// Fusion changes *performance shape only*: end-to-end time approaches
-/// `max(walk, train)` instead of `walk + train`, and peak memory drops by
-/// the corpus size. It does not change walks (per-`(walk, vertex)` RNG
-/// streams) and keeps training within the hogwild tolerance the paper
-/// already relies on — see DESIGN.md §16 for the exact equivalences.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FusedMode {
-    /// Always fuse when the strategy supports streaming (temporal walks
-    /// and static DeepWalk on the CPU backend; snapshot baselines and the
-    /// GPU model need the materialized corpus and fall back).
-    On,
-    /// Always run the phases sequentially.
-    Off,
-    /// Fuse when it is expected to pay off: CPU backend, streamable
-    /// strategy, and a corpus large enough (≥ ~2M tokens) that overlap
-    /// and memory savings outweigh channel overhead.
-    #[default]
-    Auto,
-}
-
 /// All tunables of the end-to-end pipeline.
 ///
 /// Defaults are the paper's empirically optimal operating point (§VII-A):
@@ -119,9 +95,6 @@ pub struct Hyperparams {
     /// Embedding production strategy (temporal walks vs static/snapshot
     /// baselines).
     pub strategy: EmbeddingStrategy,
-    /// Fused streaming walk→train pipeline mode (a pure performance
-    /// knob; see [`FusedMode`]).
-    pub fused: FusedMode,
 }
 
 impl Hyperparams {
@@ -149,7 +122,6 @@ impl Hyperparams {
             threads: 0,
             residual: false,
             strategy: EmbeddingStrategy::default(),
-            fused: FusedMode::default(),
         }
     }
 
@@ -233,13 +205,6 @@ impl Hyperparams {
     #[must_use]
     pub fn with_engine(mut self, engine: WalkEngine) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Sets the fused streaming pipeline mode.
-    #[must_use]
-    pub fn with_fused(mut self, fused: FusedMode) -> Self {
-        self.fused = fused;
         self
     }
 

@@ -37,7 +37,7 @@ mod report;
 
 pub use error::PipelineError;
 pub use extensions::LabeledEdge;
-pub use hyper::{EmbeddingStrategy, FusedMode, Hyperparams};
+pub use hyper::{EmbeddingStrategy, Hyperparams};
 pub use incremental::{IncrementalEmbedder, RefreshSamplerStats};
 pub use pipeline::{Backend, LinkModel, Pipeline};
-pub use report::{FusedPhases, PhaseTimes, ServeStats, TaskKind, TaskMetrics, TaskReport};
+pub use report::{PhaseTimes, ServeStats, TaskKind, TaskMetrics, TaskReport};

@@ -3,26 +3,16 @@
 use std::time::{Duration, Instant};
 
 use dataprep::{link_prediction_data, node_classification_data, temporal_edge_split, SplitRatios};
-use embed::{EmbeddingMatrix, StreamTrainer};
+use embed::EmbeddingMatrix;
 use nn::{metrics, Mlp, OutputHead, Trainer};
-use par::{BoundedQueue, ParConfig};
 use perfmodel::profile::{
     profile_testing, profile_training, profile_walk, profile_word2vec, ProfileOptions,
 };
 use perfmodel::GpuModel;
 use tgraph::TemporalGraph;
-use twalk::{ChannelSink, WalkOptions, WalkSet, WalkSetBuilder};
+use twalk::{WalkSet, WalkSetBuilder};
 
-use crate::{
-    FusedMode, FusedPhases, Hyperparams, PhaseTimes, PipelineError, TaskKind, TaskMetrics,
-    TaskReport,
-};
-
-/// Corpus-size floor (in upper-bound tokens, `K · |V| · N`) below which
-/// [`FusedMode::Auto`] keeps the sequential path: small corpora fit
-/// comfortably in memory and channel/rebuild overhead would outweigh the
-/// overlap win.
-pub const FUSED_AUTO_MIN_TOKENS: usize = 2_000_000;
+use crate::{Hyperparams, PhaseTimes, PipelineError, TaskKind, TaskMetrics, TaskReport};
 
 /// Execution backend for reported phase times.
 ///
@@ -53,21 +43,15 @@ pub struct LinkModel {
     pub report: TaskReport,
 }
 
-/// Everything phases 1–2 hand to the classifier phases, on either the
-/// fused or the sequential path.
+/// Everything phases 1–2 hand to the classifier phases.
 struct EmbedPhase {
     emb: EmbeddingMatrix,
-    /// The materialized corpus — present on the sequential path only (the
-    /// GPU model profiles it; the fused path never builds it).
-    walks: Option<WalkSet>,
-    /// Sequential: walk-generation wall-clock. Fused: the serial
-    /// sampler-preparation prologue.
+    /// The materialized corpus (the GPU model profiles it).
+    walks: WalkSet,
+    /// Walk-generation wall-clock.
     rwalk_time: Duration,
-    /// Sequential: training wall-clock. Fused: the overlapped span.
+    /// Training wall-clock.
     w2v_time: Duration,
-    walk_stats: twalk::stats::WalkLengthStats,
-    sampler_build: Option<twalk::SamplerBuildStats>,
-    fused: Option<FusedPhases>,
 }
 
 /// The four-phase pipeline of paper Fig. 1.
@@ -145,143 +129,21 @@ impl Pipeline {
         }
     }
 
-    /// Phases 1–2: generate walks and train node embeddings (fused or
-    /// sequential per the [`FusedMode`] knob).
+    /// Phases 1–2: generate walks, then train node embeddings on them.
     pub fn embeddings(&self, g: &TemporalGraph) -> EmbeddingMatrix {
         self.embed_phase(g).emb
     }
 
-    /// Whether this run takes the fused streaming path: the strategy must
-    /// stream (snapshot baselines concatenate per-snapshot corpora), the
-    /// backend must be CPU (the GPU model profiles the materialized
-    /// corpus), and under [`FusedMode::Auto`] the corpus must clear
-    /// [`FUSED_AUTO_MIN_TOKENS`].
-    pub fn fuses_for(&self, g: &TemporalGraph) -> bool {
-        let streamable = matches!(
-            self.hp.strategy,
-            crate::EmbeddingStrategy::TemporalWalks | crate::EmbeddingStrategy::StaticDeepWalk
-        );
-        let cpu = matches!(self.backend, Backend::Cpu);
-        match self.hp.fused {
-            FusedMode::Off => false,
-            FusedMode::On => streamable && cpu,
-            FusedMode::Auto => {
-                streamable
-                    && cpu
-                    && self.hp.walks_per_node * g.num_nodes() * self.hp.walk_length
-                        >= FUSED_AUTO_MIN_TOKENS
-            }
-        }
-    }
-
-    /// Runs phases 1–2, fused or sequential, with phase attribution.
+    /// Runs phases 1–2 with phase attribution. Both phases run on the
+    /// full thread pool, one after the other.
     fn embed_phase(&self, g: &TemporalGraph) -> EmbedPhase {
-        if self.fuses_for(g) {
-            let opts = match self.hp.strategy {
-                crate::EmbeddingStrategy::StaticDeepWalk => {
-                    self.hp.walk_options().respect_time(false)
-                }
-                _ => self.hp.walk_options(),
-            };
-            return self.fused_embed(g, &opts);
-        }
-        let par = self.hp.par_config();
         let t0 = Instant::now();
         let walks = self.walks(g);
         let rwalk_time = t0.elapsed();
-        let walk_stats = twalk::stats::length_stats(&walks);
         let t0 = Instant::now();
-        let emb = embed::train(&walks, g.num_nodes(), &self.hp.w2v_config(), &par);
+        let emb = embed::train(&walks, g.num_nodes(), &self.hp.w2v_config(), &self.hp.par_config());
         let w2v_time = t0.elapsed();
-        EmbedPhase {
-            emb,
-            sampler_build: walks.sampler_stats(),
-            walks: Some(walks),
-            rwalk_time,
-            w2v_time,
-            walk_stats,
-            fused: None,
-        }
-    }
-
-    /// The fused driver: per epoch, walk workers stream the walk
-    /// kernel's chunks into a bounded channel while hogwild trainer
-    /// workers consume them, the two sides splitting the configured
-    /// thread budget between them. Walks are bit-exact per `(walk, vertex)` RNG
-    /// stream, so later epochs *re-walk* the graph instead of replaying a
-    /// buffered corpus — that is what keeps peak memory free of the
-    /// corpus. The prepared sampler is built once and amortized across
-    /// epochs (attributed to the `rwalk` phase, the only serial part
-    /// left).
-    fn fused_embed(&self, g: &TemporalGraph, opts: &WalkOptions) -> EmbedPhase {
-        // Split the configured thread budget between the two overlapped
-        // sides instead of giving each side the full pool: producer and
-        // trainer run concurrently, and 2× oversubscription on a
-        // saturated host costs more in context switching than it buys in
-        // work conservation. The trainer is typically the longer side,
-        // so it gets the larger half; each side keeps at least one
-        // thread — the minimum that overlaps at all. The stall split in
-        // [`FusedPhases`] says which side was starved if this ratio ever
-        // needs revisiting.
-        let threads = self.hp.par_config().threads().max(1);
-        let producer_threads = (threads / 2).max(1);
-        let par = ParConfig::with_threads((threads - producer_threads).max(1));
-        // Chunky producer blocks: channel traffic per chunk is O(1), and
-        // ≥1k-walk chunks keep trainer pop rates far below contention.
-        let producer_par = ParConfig::with_threads(producer_threads).chunk_size(1024);
-        let t0 = Instant::now();
-        let prepared = opts.prepare(g);
-        let prepare_time = t0.elapsed();
-        let cfg = opts.config();
-        let w2v = self.hp.w2v_config();
-        let total_walks = self.hp.walks_per_node * g.num_nodes();
-        let trainer = StreamTrainer::new(g.num_nodes(), &w2v, total_walks, self.hp.walk_length);
-        let mut producer = Duration::ZERO;
-        let mut producer_stall = Duration::ZERO;
-        let t_overlap = Instant::now();
-        for epoch in 0..w2v.epochs {
-            let queue = BoundedQueue::new((par.threads() * 2).max(4));
-            let sink = ChannelSink::new(&queue);
-            std::thread::scope(|s| {
-                let guard = queue.register_producer();
-                let walker = s.spawn(|| {
-                    let _guard = guard;
-                    let t = Instant::now();
-                    twalk::generate_walks_prepared_to_sink(
-                        g,
-                        &cfg,
-                        &prepared,
-                        &producer_par,
-                        &sink,
-                    );
-                    t.elapsed()
-                });
-                trainer.run_epoch(&queue, epoch, &par);
-                producer += walker.join().expect("walk producer panicked");
-            });
-            producer_stall += sink.stalled();
-        }
-        let wall = t_overlap.elapsed();
-        let consumer_stall = trainer.stalled();
-        let histogram = trainer.length_histogram();
-        let total: u64 = histogram.iter().sum();
-        let weighted: u64 = histogram.iter().enumerate().map(|(l, &c)| l as u64 * c).sum();
-        let short: u64 = histogram.iter().take(6).sum();
-        let walk_stats = twalk::stats::WalkLengthStats {
-            log_log_slope: twalk::stats::log_log_slope(&histogram),
-            mean: if total > 0 { weighted as f64 / total as f64 } else { 0.0 },
-            short_fraction: if total > 0 { short as f64 / total as f64 } else { 0.0 },
-            histogram,
-        };
-        EmbedPhase {
-            emb: trainer.finish(),
-            walks: None,
-            rwalk_time: prepare_time,
-            w2v_time: wall,
-            walk_stats,
-            sampler_build: Some(prepared.stats()),
-            fused: Some(FusedPhases { wall, producer, producer_stall, consumer_stall }),
-        }
+        EmbedPhase { emb, walks, rwalk_time, w2v_time }
     }
 
     /// Runs the full link prediction task (paper §IV-B).
@@ -313,7 +175,7 @@ impl Pipeline {
                 edges: g.num_edges(),
             });
         }
-        // Phases 1–2: walks and word2vec, fused or sequential.
+        // Phases 1–2: walks and word2vec.
         let ep = self.embed_phase(g);
         let emb = ep.emb;
 
@@ -355,17 +217,15 @@ impl Pipeline {
             train_total: train_report.total_time,
             train_per_epoch: train_report.mean_epoch_time(),
             test: test_time,
-            fused: ep.fused,
         };
         record_phase_spans(g, &phase_times);
         let backend = match &self.backend {
             Backend::Cpu => "cpu",
             Backend::GpuModel(gpu) => {
-                let walks = ep.walks.as_ref().expect("the GPU model runs the sequential path");
                 phase_times = self.gpu_phase_times(
                     gpu,
                     g,
-                    walks,
+                    &ep.walks,
                     &dims,
                     data.x_train.rows(),
                     data.x_test.rows(),
@@ -379,8 +239,8 @@ impl Pipeline {
             task: TaskKind::LinkPrediction,
             metrics: TaskMetrics { accuracy, auc: Some(auc), macro_f1: None, final_train_loss },
             phase_times,
-            walk_stats: ep.walk_stats,
-            sampler_build: ep.sampler_build,
+            walk_stats: twalk::stats::length_stats(&ep.walks),
+            sampler_build: ep.walks.sampler_stats(),
             epochs_run,
             backend,
         };
@@ -459,17 +319,15 @@ impl Pipeline {
             train_total: train_report.total_time,
             train_per_epoch: train_report.mean_epoch_time(),
             test: test_time,
-            fused: ep.fused,
         };
         record_phase_spans(g, &phase_times);
         let backend = match &self.backend {
             Backend::Cpu => "cpu",
             Backend::GpuModel(gpu) => {
-                let walks = ep.walks.as_ref().expect("the GPU model runs the sequential path");
                 phase_times = self.gpu_phase_times(
                     gpu,
                     g,
-                    walks,
+                    &ep.walks,
                     &dims,
                     data.x_train.rows(),
                     data.x_test.rows(),
@@ -488,8 +346,8 @@ impl Pipeline {
                 final_train_loss,
             },
             phase_times,
-            walk_stats: ep.walk_stats,
-            sampler_build: ep.sampler_build,
+            walk_stats: twalk::stats::length_stats(&ep.walks),
+            sampler_build: ep.walks.sampler_stats(),
             epochs_run,
             backend,
         })
@@ -565,7 +423,6 @@ impl Pipeline {
             train_total: per_epoch * epochs_run.max(1) as u32,
             train_per_epoch: per_epoch,
             test: Duration::from_secs_f64(test_est.total_secs()),
-            fused: None, // the model describes the sequential launches
         }
     }
 }
@@ -703,75 +560,6 @@ mod tests {
             expected.extend(walks.iter().map(<[tgraph::NodeId]>::to_vec));
         }
         assert_eq!(got, twalk::WalkSet::from_walks(&expected, hp.walk_length));
-    }
-
-    #[test]
-    fn fused_link_prediction_matches_sequential_quality() {
-        let g = lp_graph();
-        let hp = Hyperparams::paper_optimal().quick_test();
-        let seq = Pipeline::new(hp.clone().with_fused(crate::FusedMode::Off))
-            .run_link_prediction(&g)
-            .unwrap();
-        // quick_test keeps w2v_epochs = 2, so this also exercises the
-        // epochs > 1 re-walk replay end-to-end.
-        let fused =
-            Pipeline::new(hp.with_fused(crate::FusedMode::On)).run_link_prediction(&g).unwrap();
-        assert!(seq.phase_times.fused.is_none());
-        let f = fused.phase_times.fused.expect("fused run reports the overlap split");
-        assert!(f.wall >= f.producer.saturating_sub(f.producer_stall));
-        assert_eq!(fused.phase_times.word2vec, f.wall);
-        // Same corpus shape on both paths (walks are path-independent)...
-        assert_eq!(fused.walk_stats, seq.walk_stats);
-        let (fb, sb) = (fused.sampler_build.unwrap(), seq.sampler_build.unwrap());
-        assert_eq!(fb.table_bytes, sb.table_bytes);
-        assert_eq!(fb.cdf_vertices, sb.cdf_vertices);
-        // ...and no meaningful quality gap from streamed consumption.
-        assert!(
-            fused.metrics.accuracy > seq.metrics.accuracy - 0.1,
-            "fused {} vs sequential {}",
-            fused.metrics.accuracy,
-            seq.metrics.accuracy
-        );
-        assert!(fused.metrics.accuracy > 0.55, "accuracy {}", fused.metrics.accuracy);
-    }
-
-    #[test]
-    fn fused_auto_declines_small_runs_and_gpu_model() {
-        let g = lp_graph();
-        let hp = Hyperparams::paper_optimal().quick_test();
-        // Auto: 10 × 500 × 6 tokens is far below the floor.
-        assert!(!Pipeline::new(hp.clone()).fuses_for(&g));
-        // On: streamable CPU run fuses regardless of size.
-        assert!(Pipeline::new(hp.clone().with_fused(crate::FusedMode::On)).fuses_for(&g));
-        // The GPU model needs the materialized corpus, even under On.
-        let gpu = Pipeline::new(hp.clone().with_fused(crate::FusedMode::On))
-            .with_backend(Backend::GpuModel(GpuModel::ampere()));
-        assert!(!gpu.fuses_for(&g));
-        let report = gpu.run_link_prediction(&g).unwrap();
-        assert_eq!(report.backend, "gpu-model");
-        assert!(report.phase_times.fused.is_none());
-        // Snapshot corpora cannot stream.
-        let snap = Pipeline::new(
-            hp.with_fused(crate::FusedMode::On)
-                .with_strategy(crate::EmbeddingStrategy::SnapshotDeepWalk { snapshots: 2 }),
-        );
-        assert!(!snap.fuses_for(&g));
-    }
-
-    #[test]
-    fn fused_embeddings_train_on_the_streamed_corpus() {
-        // Node classification through the fused path must still learn the
-        // planted communities (epochs > 1 replay included).
-        let gen = tgraph::gen::temporal_sbm(300, 3, 9_000, 0.92, 3);
-        let g = gen.builder.undirected(true).build();
-        let report = Pipeline::new(
-            Hyperparams::paper_optimal().quick_test().with_fused(crate::FusedMode::On),
-        )
-        .run_node_classification(&g, &gen.labels)
-        .unwrap();
-        assert!(report.metrics.accuracy > 0.6, "accuracy {}", report.metrics.accuracy);
-        assert!(report.phase_times.fused.is_some());
-        assert!(report.summary().contains("fused overlap"));
     }
 
     #[test]

@@ -20,52 +20,12 @@ impl std::fmt::Display for TaskKind {
     }
 }
 
-/// Time attribution of a fused (overlapped) walk→train span.
-///
-/// When RW-P1 and RW-P2 run concurrently behind the bounded corpus
-/// channel, "time in phase 1" and "time in phase 2" stop being disjoint
-/// wall-clock intervals. This struct is the honest replacement: the
-/// overlapped span's wall-clock, how long the walk producer was actually
-/// working, and how long each side sat blocked on the channel
-/// (producer on backpressure, consumers on starvation).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FusedPhases {
-    /// Wall-clock of the overlapped walk+train span (all w2v epochs).
-    pub wall: Duration,
-    /// Walk production wall-clock summed across epochs (the producer
-    /// thread's active span, stalls included).
-    pub producer: Duration,
-    /// Time walk workers spent blocked pushing into a full channel.
-    pub producer_stall: Duration,
-    /// Time trainer workers spent blocked popping from an empty channel,
-    /// summed across workers.
-    pub consumer_stall: Duration,
-}
-
-impl FusedPhases {
-    /// Fraction of the producer's span spent blocked on backpressure —
-    /// near 1 means training is the bottleneck (walkers wait), near 0
-    /// means walking is (trainers starve instead).
-    pub fn producer_stall_fraction(&self) -> f64 {
-        let span = self.producer.as_secs_f64();
-        if span == 0.0 {
-            0.0
-        } else {
-            self.producer_stall.as_secs_f64() / span
-        }
-    }
-}
-
 /// Wall-clock time of each pipeline phase (the rows of Table III).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
-    /// Temporal random walk (RW-P1). Under fusion this is the serial
-    /// sampler-preparation prologue only; the overlapped walk work is
-    /// inside [`PhaseTimes::word2vec`] and split out in
-    /// [`PhaseTimes::fused`].
+    /// Temporal random walk (RW-P1).
     pub rwalk: Duration,
-    /// word2vec embedding (RW-P2). Under fusion: the overlapped
-    /// walk+train span (its wall-clock, not a per-phase share).
+    /// word2vec embedding (RW-P2).
     pub word2vec: Duration,
     /// Data preparation (splits, negative sampling, features).
     pub data_prep: Duration,
@@ -75,10 +35,6 @@ pub struct PhaseTimes {
     pub train_per_epoch: Duration,
     /// Classifier testing (RW-P4).
     pub test: Duration,
-    /// Present when phases 1–2 ran fused: the overlap's time attribution.
-    /// `rwalk + word2vec` remains the true phase-1+2 wall-clock either
-    /// way, so [`PhaseTimes::total`] stays comparable across modes.
-    pub fused: Option<FusedPhases>,
 }
 
 impl PhaseTimes {
@@ -154,15 +110,6 @@ impl TaskReport {
             t.train_per_epoch.as_secs_f64(),
             t.test.as_secs_f64(),
         ));
-        if let Some(f) = self.phase_times.fused {
-            s.push_str(&format!(
-                " | fused overlap {:.3}s (producer {:.3}s, stalls: producer {:.3}s / consumer {:.3}s)",
-                f.wall.as_secs_f64(),
-                f.producer.as_secs_f64(),
-                f.producer_stall.as_secs_f64(),
-                f.consumer_stall.as_secs_f64(),
-            ));
-        }
         if let Some(b) = self.sampler_build {
             if b.table_bytes > 0 {
                 s.push_str(&format!(
@@ -292,22 +239,9 @@ mod tests {
             train_total: Duration::from_millis(100),
             train_per_epoch: Duration::from_millis(10),
             test: Duration::from_millis(15),
-            fused: None,
         };
         assert_eq!(t.total(), Duration::from_millis(150));
         assert!((t.training_fraction() - 100.0 / 150.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fused_stall_fraction_is_bounded() {
-        let f = FusedPhases {
-            wall: Duration::from_millis(100),
-            producer: Duration::from_millis(80),
-            producer_stall: Duration::from_millis(20),
-            consumer_stall: Duration::from_millis(5),
-        };
-        assert!((f.producer_stall_fraction() - 0.25).abs() < 1e-9);
-        assert_eq!(FusedPhases::default().producer_stall_fraction(), 0.0);
     }
 
     #[test]

@@ -14,6 +14,8 @@ pub enum Layout {
 
 /// Inner-product / accumulation strategy (paper Fig. 6 "Coalesce" and
 /// "Par-red" ablations, mapped onto CPU SIMD-friendly loop shapes).
+/// `Scalar` and `Chunked` run word2vec's per-pair loop; `Simd` runs the
+/// window-batched step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Reduction {
     /// Straightforward scalar loop over per-element atomics.
@@ -21,9 +23,10 @@ pub enum Reduction {
     /// 4-lane unrolled loops (coalesced access + parallel reduction
     /// analog), which the compiler vectorizes.
     Chunked,
-    /// Explicit SIMD kernels from the `simd` crate (AVX2/FMA or NEON with
-    /// runtime dispatch, scalar fallback elsewhere), including the fused
-    /// gradient step — see DESIGN.md §10.
+    /// The window-batched step: negatives drawn once per center and
+    /// shared by its whole window, with scores and updates as small GEMMs
+    /// on the `simd` crate's kernels (AVX2/FMA or NEON with runtime
+    /// dispatch, scalar fallback elsewhere) — see DESIGN.md §10.
     #[default]
     Simd,
 }

@@ -17,7 +17,10 @@
 //!   optimal dimension `d = 8`, padding wastes most of each cache line.
 //! * **Reduction strategy** ([`Reduction`]) — scalar vs unrolled/chunked
 //!   dot products and accumulations (the paper's "Coalesce"/"Par-red"
-//!   ablations, Fig. 6).
+//!   ablations, Fig. 6), and the default window-batched step: each center's
+//!   negatives are shared by its whole window, so the scattered per-pair
+//!   row updates become dense `B × S` blocks (the paper's Figs. 5–6
+//!   batching idea, pWord2Vec's level-3 form).
 //!
 //! # Examples
 //!
@@ -38,13 +41,11 @@ mod config;
 mod embedding;
 pub mod io;
 mod model;
-mod stream;
 mod table;
 mod train;
 
 pub use config::{Layout, Reduction, Word2VecConfig};
 pub use embedding::EmbeddingMatrix;
 pub use model::SharedMatrix;
-pub use stream::StreamTrainer;
 pub use table::{NegativeTable, SigmoidTable};
 pub use train::{train, train_batched, train_from, train_locked, BatchRunStats, SentenceSource};

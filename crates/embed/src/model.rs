@@ -200,22 +200,6 @@ impl SharedMatrix {
         }
     }
 
-    /// Dot product of row `r` with `v` using the dispatched SIMD kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range or `v.len() != dim`.
-    #[inline]
-    pub fn dot_simd(&self, r: usize, v: &[f32]) -> f32 {
-        assert_eq!(v.len(), self.dim, "vector width mismatch");
-        assert!(r < self.rows, "row out of range");
-        // SAFETY: `dim` elements starting at the row base are in bounds;
-        // see `read_row_simd` for the concurrency caveat.
-        let row =
-            unsafe { std::slice::from_raw_parts(self.row_f32_ptr(r) as *const f32, self.dim) };
-        simd::dot(row, v)
-    }
-
     /// `row[r] += scale * v` using the dispatched SIMD kernel.
     ///
     /// # Panics
@@ -230,21 +214,6 @@ impl SharedMatrix {
         // threads by hogwild design (DESIGN.md §10).
         let row = unsafe { std::slice::from_raw_parts_mut(self.row_f32_ptr(r), self.dim) };
         simd::axpy(scale, v, row);
-    }
-
-    /// The fused SGNS gradient step against row `r` (playing the role of
-    /// the output-side vector `t`): `e += g·row; row += g·h` in one pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range or `h`/`e` have the wrong length.
-    #[inline]
-    pub fn fused_grad_step(&self, r: usize, g: f32, h: &[f32], e: &mut [f32]) {
-        assert_eq!(h.len(), self.dim, "vector width mismatch");
-        assert!(r < self.rows, "row out of range");
-        // SAFETY: as in `add_scaled_simd`.
-        let row = unsafe { std::slice::from_raw_parts_mut(self.row_f32_ptr(r), self.dim) };
-        simd::fused_sigmoid_grad(g, h, row, e);
     }
 
     /// Snapshot of the logical (unpadded) contents, row-major.
@@ -344,7 +313,6 @@ mod tests {
         let a = SharedMatrix::uniform_init(rows, dim, stride, 7);
         let b = SharedMatrix::uniform_init(rows, dim, stride, 7);
         for r in 0..rows {
-            assert!((a.dot_scalar(r, &v) - a.dot_simd(r, &v)).abs() < 1e-4);
             let mut atomic_buf = vec![0.0; dim];
             let mut simd_buf = vec![0.0; dim];
             a.read_row(r, &mut atomic_buf);
@@ -356,32 +324,6 @@ mod tests {
             for (x, y) in a.row_vec(r).iter().zip(b.row_vec(r)) {
                 assert!((x - y).abs() < 1e-5);
             }
-        }
-    }
-
-    #[test]
-    fn fused_grad_step_equals_unfused_updates() {
-        let (dim, stride) = (11usize, 16usize);
-        let h: Vec<f32> = (0..dim).map(|i| (i as f32).sin()).collect();
-        let g = 0.125f32;
-
-        let fused = SharedMatrix::uniform_init(1, dim, stride, 3);
-        let unfused = SharedMatrix::uniform_init(1, dim, stride, 3);
-        let mut e_fused = vec![0.5f32; dim];
-        let mut e_unfused = vec![0.5f32; dim];
-
-        fused.fused_grad_step(0, g, &h, &mut e_fused);
-        let t_old = unfused.row_vec(0);
-        for (ev, tv) in e_unfused.iter_mut().zip(&t_old) {
-            *ev += g * tv;
-        }
-        unfused.add_scaled(0, g, &h);
-
-        for (x, y) in fused.row_vec(0).iter().zip(unfused.row_vec(0)) {
-            assert!((x - y).abs() < 1e-5);
-        }
-        for (x, y) in e_fused.iter().zip(&e_unfused) {
-            assert!((x - y).abs() < 1e-5);
         }
     }
 }

@@ -23,10 +23,6 @@ use crate::{
 /// over a materialized [`WalkSet`] (the trivial impl every public `train*`
 /// entry point uses — behavior-identical to indexing the set directly) or
 /// any other random-access sentence store.
-///
-/// The *streamed* corpus of the fused pipeline is intentionally not a
-/// `SentenceSource` — chunks arrive once and in no particular order, so it
-/// trains through [`crate::StreamTrainer`] instead.
 pub trait SentenceSource {
     /// Number of sentences in the corpus.
     fn num_sentences(&self) -> usize;
@@ -240,12 +236,16 @@ fn run_training<S: SentenceSource + Sync>(
             parallel_chunks(par, batch_len, |cs, ce| {
                 let mut chunk_steps = 0u64;
                 let mut chunk_draws = 0u64;
-                for i in cs..ce {
-                    let s = lo + i;
+                // The lr clock advances once per chunk; each sentence's
+                // position is the chunk's base plus a local offset, which
+                // on one thread is exactly the per-sentence schedule.
+                let chunk_tokens: usize =
+                    (lo + cs..lo + ce).map(|s| corpus.sentence(s).len()).sum();
+                let mut done = processed.fetch_add(chunk_tokens as u64, Ordering::Relaxed);
+                for s in lo + cs..lo + ce {
                     let walk = corpus.sentence(s);
-                    let done = processed.fetch_add(walk.len() as u64, Ordering::Relaxed);
-                    let lr = (cfg.initial_lr * (1.0 - done as f32 / total_tokens.max(1) as f32))
-                        .max(cfg.min_lr);
+                    let lr = lr_at(cfg, done, total_tokens);
+                    done += walk.len() as u64;
                     let mut rng = WalkRng::from_stream(cfg.seed, epoch as u64, s as u64);
                     let _guard = lock.as_ref().map(|l| l.lock().expect("word2vec worker panicked"));
                     let (steps, draws) =
@@ -268,30 +268,50 @@ fn run_training<S: SentenceSource + Sync>(
     (EmbeddingMatrix::from_vec(num_nodes, cfg.dim, syn0.to_dense()), stats)
 }
 
-/// Reusable per-thread training scratch (`h`: center copy, `tmp`:
-/// pre-update context row for the atomic paths, `e`: accumulated
-/// input-side error). Hoisted out of the sentence loop so the hogwild
-/// inner loop performs zero heap allocations.
+/// word2vec's learning rate after `done` of `total` tokens: linear decay
+/// from `initial_lr`, floored at `min_lr`.
+fn lr_at(cfg: &Word2VecConfig, done: u64, total: usize) -> f32 {
+    (cfg.initial_lr * (1.0 - done as f32 / total.max(1) as f32)).max(cfg.min_lr)
+}
+
+/// Reusable per-thread training scratch, hoisted out of the sentence loop
+/// so the hogwild inner loop performs zero heap allocations.
+#[derive(Default)]
 struct Scratch {
-    h: Vec<f32>,
-    tmp: Vec<f32>,
-    e: Vec<f32>,
+    /// The window's context vertices (B ≤ 2·window slots).
+    ctx: Vec<usize>,
+    /// The window's targets: the center, then the kept negatives
+    /// (S ≤ 1 + negatives slots).
+    tgt: Vec<usize>,
+    /// Gathered `syn0` rows of `ctx` (B × dim).
+    inp: Vec<f32>,
+    /// Gathered `syn1` rows of `tgt` (S × dim).
+    out: Vec<f32>,
+    /// Scores `In·Outᵀ`, then scaled gradients `G` in place (B × S).
+    g: Vec<f32>,
+    /// Row updates `ΔIn` (B × dim), then `ΔOut` (S × dim).
+    delta: Vec<f32>,
 }
 
 thread_local! {
-    static SCRATCH: RefCell<Scratch> =
-        const { RefCell::new(Scratch { h: Vec::new(), tmp: Vec::new(), e: Vec::new() }) };
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
 /// One skip-gram pass over a sentence: for every center position, each
 /// in-window context word is pushed toward the center and away from
 /// `negatives` sampled vertices.
 ///
+/// Under [`Reduction::Simd`] (the default) each center is one
+/// window-batched step ([`window_step`]): the negatives are drawn once per
+/// center and shared by every context word in its window. The `Scalar`
+/// and `Chunked` ablations keep word2vec's per-pair loop, drawing fresh
+/// negatives for every context word.
+///
 /// Returns `(gradient_steps, negative_table_draws)` for throughput
-/// accounting — tallied in registers alongside the dim-wide FP work, so
-/// the cost is unmeasurable whether or not anyone consumes them.
+/// accounting: a step is one (context, target) score; a draw is one
+/// negative-table lookup (once per center on the window-batched step).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn train_sentence(
+fn train_sentence(
     walk: &[tgraph::NodeId],
     syn0: &SharedMatrix,
     syn1: &SharedMatrix,
@@ -301,72 +321,143 @@ pub(crate) fn train_sentence(
     lr: f32,
     rng: &mut WalkRng,
 ) -> (u64, u64) {
-    let dim = cfg.dim;
     let mut steps = 0u64;
     let mut draws = 0u64;
     SCRATCH.with(|cell| {
-        let scratch = &mut *cell.borrow_mut();
-        scratch.h.resize(dim, 0.0);
-        scratch.tmp.resize(dim, 0.0);
-        scratch.e.resize(dim, 0.0);
-        let (h, tmp, e) = (&mut scratch.h, &mut scratch.tmp, &mut scratch.e);
-
+        let s = &mut *cell.borrow_mut();
         for i in 0..walk.len() {
-            let center = walk[i];
+            let center = walk[i] as usize;
             // Shrunk window, as in reference word2vec.
             let b = 1 + rng.next_bounded(cfg.window);
             let lo = i.saturating_sub(b);
             let hi = (i + b).min(walk.len() - 1);
-            for j in lo..=hi {
-                if j == i {
-                    continue;
-                }
-                let input = walk[j] as usize;
-                match cfg.reduction {
-                    Reduction::Simd => syn0.read_row_simd(input, h),
-                    _ => syn0.read_row(input, h),
-                }
-                e.fill(0.0);
-
-                for k in 0..=cfg.negatives {
-                    let (target, label) = if k == 0 {
-                        (center as usize, 1.0f32)
-                    } else {
-                        draws += 1;
-                        let t = table.sample(rng) as usize;
-                        if t == center as usize {
-                            continue;
-                        }
-                        (t, 0.0)
-                    };
-                    steps += 1;
-                    match cfg.reduction {
-                        Reduction::Simd => {
-                            let f = syn1.dot_simd(target, h);
-                            let g = (label - sigmoid.get(f)) * lr;
-                            syn1.fused_grad_step(target, g, h, e);
-                        }
-                        Reduction::Scalar | Reduction::Chunked => {
-                            let f = match cfg.reduction {
-                                Reduction::Scalar => syn1.dot_scalar(target, h),
-                                _ => syn1.dot_chunked(target, h),
-                            };
-                            let g = (label - sigmoid.get(f)) * lr;
-                            syn1.read_row(target, tmp);
-                            for (ev, &tv) in e.iter_mut().zip(tmp.iter()) {
-                                *ev += g * tv;
-                            }
-                            syn1.add_scaled(target, g, h);
-                        }
-                    }
-                }
-                match cfg.reduction {
-                    Reduction::Simd => syn0.add_scaled_simd(input, 1.0, e),
-                    _ => syn0.add_scaled(input, 1.0, e),
+            s.ctx.clear();
+            s.ctx.extend((lo..=hi).filter(|&j| j != i).map(|j| walk[j] as usize));
+            if s.ctx.is_empty() {
+                continue;
+            }
+            if cfg.reduction != Reduction::Simd {
+                let (st, dr) = pair_steps(center, syn0, syn1, table, sigmoid, cfg, lr, rng, s);
+                steps += st;
+                draws += dr;
+                continue;
+            }
+            s.tgt.clear();
+            s.tgt.push(center);
+            for _ in 0..cfg.negatives {
+                let t = table.sample(rng) as usize;
+                if t != center {
+                    s.tgt.push(t);
                 }
             }
+            draws += cfg.negatives as u64;
+            steps += window_step(syn0, syn1, sigmoid, lr, s);
         }
     });
+    (steps, draws)
+}
+
+/// The window-batched SGNS step (the pWord2Vec level-3 form): with the B
+/// context rows of `syn0` gathered into `In` and the S target rows of
+/// `syn1` (center first, label 1; then the negatives, label 0) into
+/// `Out`, computes `G = (label − σ(In·Outᵀ)) · lr` and applies
+/// `ΔIn = G·Out` and `ΔOut = Gᵀ·In` with one row write per slot. All
+/// reads precede all writes, so a vertex in two slots (a repeated context
+/// word or negative) sees the pre-window row in both and receives both
+/// updates.
+///
+/// Returns the number of (context, target) scores, `B · S`.
+fn window_step(
+    syn0: &SharedMatrix,
+    syn1: &SharedMatrix,
+    sigmoid: &SigmoidTable,
+    lr: f32,
+    s: &mut Scratch,
+) -> u64 {
+    let dim = syn0.dim();
+    let (nb, ns) = (s.ctx.len(), s.tgt.len());
+    s.inp.resize(nb * dim, 0.0);
+    s.out.resize(ns * dim, 0.0);
+    s.g.resize(nb * ns, 0.0);
+    s.delta.resize(nb.max(ns) * dim, 0.0);
+    for (&v, row) in s.ctx.iter().zip(s.inp.chunks_exact_mut(dim)) {
+        syn0.read_row_simd(v, row);
+    }
+    for (&t, row) in s.tgt.iter().zip(s.out.chunks_exact_mut(dim)) {
+        syn1.read_row_simd(t, row);
+    }
+    simd::gemm_transb(nb, ns, dim, &s.inp, &s.out, &mut s.g);
+    for g in s.g.chunks_exact_mut(ns) {
+        for (k, gk) in g.iter_mut().enumerate() {
+            let label = if k == 0 { 1.0 } else { 0.0 };
+            *gk = (label - sigmoid.get(*gk)) * lr;
+        }
+    }
+    let d_in = &mut s.delta[..nb * dim];
+    simd::gemm(nb, dim, ns, &s.g, &s.out, d_in, simd::Epilogue::None);
+    for (&v, row) in s.ctx.iter().zip(d_in.chunks_exact(dim)) {
+        syn0.add_scaled_simd(v, 1.0, row);
+    }
+    let d_out = &mut s.delta[..ns * dim];
+    d_out.fill(0.0);
+    simd::gemm_transa_accum(nb, dim, ns, &s.g, &s.inp, d_out);
+    for (&t, row) in s.tgt.iter().zip(d_out.chunks_exact(dim)) {
+        syn1.add_scaled_simd(t, 1.0, row);
+    }
+    (nb * ns) as u64
+}
+
+/// word2vec's per-pair loop over one center's window, kept as the
+/// `Scalar` / `Chunked` reduction ablation (paper Fig. 6): every context
+/// word in `s.ctx` draws its own negatives and updates each target row
+/// before the next target is scored.
+#[allow(clippy::too_many_arguments)]
+fn pair_steps(
+    center: usize,
+    syn0: &SharedMatrix,
+    syn1: &SharedMatrix,
+    table: &NegativeTable,
+    sigmoid: &SigmoidTable,
+    cfg: &Word2VecConfig,
+    lr: f32,
+    rng: &mut WalkRng,
+    s: &mut Scratch,
+) -> (u64, u64) {
+    let dim = cfg.dim;
+    let mut steps = 0u64;
+    let mut draws = 0u64;
+    s.inp.resize(dim, 0.0);
+    s.out.resize(dim, 0.0);
+    s.delta.resize(dim, 0.0);
+    let (h, tmp, e) = (&mut s.inp[..dim], &mut s.out[..dim], &mut s.delta[..dim]);
+    for &input in &s.ctx {
+        syn0.read_row(input, h);
+        e.fill(0.0);
+        for k in 0..=cfg.negatives {
+            let (target, label) = if k == 0 {
+                (center, 1.0f32)
+            } else {
+                draws += 1;
+                let t = table.sample(rng) as usize;
+                if t == center {
+                    continue;
+                }
+                (t, 0.0)
+            };
+            steps += 1;
+            let f = match cfg.reduction {
+                Reduction::Scalar => syn1.dot_scalar(target, h),
+                _ => syn1.dot_chunked(target, h),
+            };
+            let g = (label - sigmoid.get(f)) * lr;
+            syn1.read_row(target, tmp);
+            for (ev, &tv) in e.iter_mut().zip(tmp.iter()) {
+                *ev += g * tv;
+            }
+            syn1.add_scaled(target, g, h);
+        }
+        syn0.add_scaled(input, 1.0, e);
+    }
     (steps, draws)
 }
 
@@ -454,6 +545,30 @@ mod tests {
         }
     }
 
+    /// `train` on one thread with the lr clock advanced once per sentence,
+    /// in corpus order.
+    fn per_sentence_schedule(corpus: &WalkSet, n: usize, cfg: &Word2VecConfig) -> EmbeddingMatrix {
+        let syn0 = SharedMatrix::uniform_init(n, cfg.dim, cfg.stride(), cfg.seed);
+        let syn1 = SharedMatrix::zeros(n, cfg.dim, cfg.stride());
+        let table = NegativeTable::from_counts(
+            &token_counts(corpus, n),
+            NegativeTable::recommended_size(n),
+        );
+        let sigmoid = SigmoidTable::default();
+        let total = corpus.total_tokens() * cfg.epochs;
+        let mut done = 0u64;
+        for epoch in 0..cfg.epochs {
+            for s in 0..corpus.num_walks() {
+                let walk = corpus.walk(s);
+                let mut rng = WalkRng::from_stream(cfg.seed, epoch as u64, s as u64);
+                let lr = lr_at(cfg, done, total);
+                train_sentence(walk, &syn0, &syn1, &table, &sigmoid, cfg, lr, &mut rng);
+                done += walk.len() as u64;
+            }
+        }
+        EmbeddingMatrix::from_vec(n, cfg.dim, syn0.to_dense())
+    }
+
     #[test]
     fn single_thread_training_is_deterministic() {
         let (corpus, n) = two_community_corpus();
@@ -461,6 +576,149 @@ mod tests {
         let a = train(&corpus, n, &cfg, &ParConfig::with_threads(1));
         let b = train(&corpus, n, &cfg, &ParConfig::with_threads(1));
         assert_eq!(a, b);
+        // The lr clock advances once per chunk, yet on one thread every
+        // sentence still sees the per-sentence schedule, for any chunking.
+        let expected = per_sentence_schedule(&corpus, n, &cfg);
+        assert_eq!(a, expected);
+        let chunked = train(&corpus, n, &cfg, &ParConfig::with_threads(1).chunk_size(7));
+        assert_eq!(chunked, expected);
+    }
+
+    /// What the scalar oracle saw, so the test can prove each corner case
+    /// was exercised.
+    #[derive(Default)]
+    struct Coverage {
+        clipped_both_ends: usize,
+        repeated_context: usize,
+        repeated_negative: usize,
+        center_draws_skipped: usize,
+    }
+
+    /// Scalar oracle of the window-batched step over one sentence: plain
+    /// nested `Vec` tables, the same RNG draw order, and every read of a
+    /// window taken before any of its writes.
+    #[allow(clippy::too_many_arguments)]
+    fn oracle_sentence(
+        walk: &[tgraph::NodeId],
+        syn0: &mut [Vec<f32>],
+        syn1: &mut [Vec<f32>],
+        table: &NegativeTable,
+        sigmoid: &SigmoidTable,
+        cfg: &Word2VecConfig,
+        lr: f32,
+        rng: &mut WalkRng,
+        seen: &mut Coverage,
+    ) {
+        for i in 0..walk.len() {
+            let center = walk[i] as usize;
+            let b = 1 + rng.next_bounded(cfg.window);
+            let (lo, hi) = (i.saturating_sub(b), (i + b).min(walk.len() - 1));
+            let ctx: Vec<usize> = (lo..=hi).filter(|&j| j != i).map(|j| walk[j] as usize).collect();
+            if ctx.is_empty() {
+                continue;
+            }
+            seen.clipped_both_ends += usize::from(i < b && i + b > walk.len() - 1);
+            seen.repeated_context +=
+                usize::from(ctx.iter().any(|v| ctx.iter().filter(|&w| w == v).count() > 1));
+            let mut tgt = vec![center];
+            for _ in 0..cfg.negatives {
+                let t = table.sample(rng) as usize;
+                if t == center {
+                    seen.center_draws_skipped += 1;
+                } else {
+                    tgt.push(t);
+                }
+            }
+            seen.repeated_negative += usize::from(
+                tgt[1..].iter().any(|v| tgt[1..].iter().filter(|&w| w == v).count() > 1),
+            );
+            let inp: Vec<Vec<f32>> = ctx.iter().map(|&v| syn0[v].clone()).collect();
+            let out: Vec<Vec<f32>> = tgt.iter().map(|&t| syn1[t].clone()).collect();
+            for (x, &v) in inp.iter().zip(&ctx) {
+                for (k, (y, &t)) in out.iter().zip(&tgt).enumerate() {
+                    let label = if k == 0 { 1.0 } else { 0.0 };
+                    let f: f32 = x.iter().zip(y).map(|(a, b)| a * b).sum();
+                    let g = (label - sigmoid.get(f)) * lr;
+                    for d in 0..cfg.dim {
+                        syn0[v][d] += g * y[d];
+                        syn1[t][d] += g * x[d];
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn window_step_matches_scalar_oracle() {
+        let n = 5;
+        // Negatives come only from {0, 1}: every window draws repeats,
+        // and draws equal to a center 0 or 1 are skipped.
+        let table = NegativeTable::from_counts(&[4, 4, 0, 0, 0], 64);
+        let sigmoid = SigmoidTable::default();
+        // Short sentences clip windows at both ends; revisits repeat a
+        // context vertex inside one window.
+        let sentences: [&[tgraph::NodeId]; 3] = [&[0, 1, 0, 2, 1, 3], &[2, 4, 2], &[4]];
+        let mut seen = Coverage::default();
+        for dim in [8, 11] {
+            let cfg = Word2VecConfig::default().dim(dim);
+            let syn0 = SharedMatrix::uniform_init(n, dim, dim, 1);
+            let syn1 = SharedMatrix::uniform_init(n, dim, dim, 2);
+            let mut o0: Vec<Vec<f32>> = (0..n).map(|r| syn0.row_vec(r)).collect();
+            let mut o1: Vec<Vec<f32>> = (0..n).map(|r| syn1.row_vec(r)).collect();
+            for seed in 0..6 {
+                for walk in sentences {
+                    let mut rng = WalkRng::new(seed);
+                    let mut oracle_rng = rng.clone();
+                    let lr = 0.25;
+                    train_sentence(walk, &syn0, &syn1, &table, &sigmoid, &cfg, lr, &mut rng);
+                    oracle_sentence(
+                        walk,
+                        &mut o0,
+                        &mut o1,
+                        &table,
+                        &sigmoid,
+                        &cfg,
+                        lr,
+                        &mut oracle_rng,
+                        &mut seen,
+                    );
+                }
+            }
+            for r in 0..n {
+                for (m, o) in [(&syn0, &o0), (&syn1, &o1)] {
+                    for (x, y) in m.row_vec(r).iter().zip(&o[r]) {
+                        assert!((x - y).abs() < 1e-5, "dim {dim} row {r}: {x} vs {y}");
+                    }
+                }
+            }
+        }
+        assert!(seen.clipped_both_ends > 0, "no window clipped at both ends");
+        assert!(seen.repeated_context > 0, "no repeated context vertex");
+        assert!(seen.repeated_negative > 0, "no repeated negative");
+        assert!(seen.center_draws_skipped > 0, "no negative equal to the center");
+    }
+
+    #[test]
+    fn window_step_counts_scores_and_per_center_draws() {
+        let table = NegativeTable::from_counts(&[1, 1, 1, 1], 64);
+        let cfg = Word2VecConfig::default();
+        let syn0 = SharedMatrix::uniform_init(4, 8, 8, 1);
+        let syn1 = SharedMatrix::zeros(4, 8, 8);
+        let walk = [0, 1, 2, 3];
+        let mut rng = WalkRng::new(9);
+        let (steps, draws) = train_sentence(
+            &walk,
+            &syn0,
+            &syn1,
+            &table,
+            &SigmoidTable::default(),
+            &cfg,
+            0.025,
+            &mut rng,
+        );
+        // One draw per negative per center, whatever the window holds.
+        assert_eq!(draws, (walk.len() * cfg.negatives) as u64);
+        assert!(steps > draws, "steps {steps} draws {draws}");
     }
 
     #[test]

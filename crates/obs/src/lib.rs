@@ -66,8 +66,7 @@ pub fn global_registry() -> Arc<Registry> {
 ///
 /// The high-water mark is monotone over the process lifetime — it can
 /// only tell *which earlier allocation was largest*, so comparative
-/// measurements (e.g. fused vs sequential pipeline) must run the
-/// lower-memory candidate first.
+/// measurements must run the lower-memory candidate first.
 pub fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;

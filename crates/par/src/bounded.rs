@@ -1,10 +1,10 @@
 //! Bounded MPMC channel with producer-count-based completion.
 //!
-//! The fused walk→train pipeline (DESIGN.md §16) needs a handoff between
-//! walk workers (producers) and hogwild trainer workers (consumers) that
-//! applies *backpressure* instead of queueing an unbounded corpus: when the
-//! trainer falls behind, walk workers block in `push` rather than growing
-//! the heap by the full corpus size. The queue is a `Mutex<VecDeque>` with
+//! A handoff between walk workers (producers) and trainer workers
+//! (consumers) that applies *backpressure* instead of queueing an unbounded
+//! corpus: when the trainer falls behind, walk workers block in `push`
+//! rather than growing the heap by the full corpus size. It was built for
+//! the fused walk→train pipeline, since removed (DESIGN.md §16). The queue is a `Mutex<VecDeque>` with
 //! two condvars — contention is negligible because items are coarse
 //! (multi-kilobyte walk chunks), so a lock-free ring would buy nothing
 //! while costing the clean close/drain semantics below.

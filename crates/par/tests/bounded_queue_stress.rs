@@ -3,8 +3,8 @@
 //! The contract under test: every item pushed before end-of-stream is
 //! popped exactly once — no loss, no duplication — regardless of how many
 //! producers or consumers join or leave mid-stream, and the multi-epoch
-//! replay shape used by the fused pipeline (fresh producer wave per epoch
-//! over one long-lived consumer pool per epoch) never deadlocks.
+//! replay shape (fresh producer wave per epoch over one long-lived
+//! consumer pool per epoch) never deadlocks.
 
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -114,11 +114,9 @@ fn depth_never_exceeds_capacity_under_race() {
     );
 }
 
-/// The epochs>1 replay shape from the fused pipeline: each epoch spins up
-/// a fresh channel, a fresh producer wave re-walking the same stream, and
-/// a consumer pool; a stall in any epoch would hang this test. Mirrors
-/// `core::Pipeline`'s fused driver, which re-generates walks per epoch
-/// instead of spilling the corpus.
+/// The epochs>1 replay shape: each epoch spins up a fresh channel, a
+/// fresh producer wave re-walking the same stream, and a consumer pool; a
+/// stall in any epoch would hang this test.
 #[test]
 fn multi_epoch_replay_is_deadlock_free() {
     let producers = 4;

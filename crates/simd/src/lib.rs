@@ -3,9 +3,9 @@
 //!
 //! The paper's §V-B GPU optimizations are all about maximizing
 //! per-dimension arithmetic throughput; this crate is the CPU counterpart.
-//! Each public function (`dot`, `axpy`, `scale_accum`,
-//! `fused_sigmoid_grad`, and the three GEMM forms `gemm`, `gemm_transb`,
-//! `gemm_transa_accum`) has three implementations:
+//! Each public function (`dot`, `axpy`, `scale_accum`, and the three GEMM
+//! forms `gemm`, `gemm_transb`, `gemm_transa_accum`) has three
+//! implementations:
 //!
 //! * **AVX2 + FMA** (`x86`/`x86_64`) — 8-lane fused multiply-add kernels;
 //! * **NEON** (`aarch64`) — 4-lane equivalents (`gemm` and
@@ -82,7 +82,6 @@ struct KernelTable {
     dot: fn(&[f32], &[f32]) -> f32,
     axpy: fn(f32, &[f32], &mut [f32]),
     scale_accum: fn(&mut [f32], f32, f32, &[f32]),
-    fused_sigmoid_grad: fn(f32, &[f32], &mut [f32], &mut [f32]),
     gemm_transb: fn(usize, usize, usize, &[f32], &[f32], &mut [f32]),
     gemm: fn(usize, usize, usize, &[f32], &[f32], &mut [f32], Epilogue<'_>),
     gemm_transa_accum: fn(usize, usize, usize, &[f32], &[f32], &mut [f32]),
@@ -94,7 +93,6 @@ fn scalar_table() -> KernelTable {
         dot: scalar::dot,
         axpy: scalar::axpy,
         scale_accum: scalar::scale_accum,
-        fused_sigmoid_grad: scalar::fused_sigmoid_grad,
         gemm_transb: scalar::gemm_transb,
         gemm: scalar::gemm,
         gemm_transa_accum: scalar::gemm_transa_accum,
@@ -120,10 +118,6 @@ mod x86_entry {
     pub fn scale_accum(y: &mut [f32], a: f32, b: f32, x: &[f32]) {
         // SAFETY: as above.
         unsafe { x86::scale_accum(y, a, b, x) }
-    }
-    pub fn fused_sigmoid_grad(g: f32, h: &[f32], t: &mut [f32], e: &mut [f32]) {
-        // SAFETY: as above.
-        unsafe { x86::fused_sigmoid_grad(g, h, t, e) }
     }
     pub fn gemm_transb(m: usize, n: usize, k: usize, a: &[f32], bt: &[f32], c: &mut [f32]) {
         // SAFETY: as above.
@@ -154,7 +148,6 @@ fn avx2_table() -> KernelTable {
         dot: x86_entry::dot,
         axpy: x86_entry::axpy,
         scale_accum: x86_entry::scale_accum,
-        fused_sigmoid_grad: x86_entry::fused_sigmoid_grad,
         gemm_transb: x86_entry::gemm_transb,
         gemm: x86_entry::gemm,
         gemm_transa_accum: x86_entry::gemm_transa_accum,
@@ -178,10 +171,6 @@ mod neon_entry {
         // SAFETY: as above.
         unsafe { neon::scale_accum(y, a, b, x) }
     }
-    pub fn fused_sigmoid_grad(g: f32, h: &[f32], t: &mut [f32], e: &mut [f32]) {
-        // SAFETY: as above.
-        unsafe { neon::fused_sigmoid_grad(g, h, t, e) }
-    }
     pub fn gemm_transb(m: usize, n: usize, k: usize, a: &[f32], bt: &[f32], c: &mut [f32]) {
         // SAFETY: as above.
         unsafe { neon::gemm_transb(m, n, k, a, bt, c) }
@@ -195,7 +184,6 @@ fn neon_table() -> KernelTable {
         dot: neon_entry::dot,
         axpy: neon_entry::axpy,
         scale_accum: neon_entry::scale_accum,
-        fused_sigmoid_grad: neon_entry::fused_sigmoid_grad,
         gemm_transb: neon_entry::gemm_transb,
         gemm: scalar::gemm,
         gemm_transa_accum: scalar::gemm_transa_accum,
@@ -268,20 +256,6 @@ pub fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
 pub fn scale_accum(y: &mut [f32], a: f32, b: f32, x: &[f32]) {
     assert_eq!(x.len(), y.len(), "scale_accum operand length mismatch");
     (KERNELS.scale_accum)(y, a, b, x)
-}
-
-/// The fused SGNS gradient step: given `g = (label − σ(f)) · lr`,
-/// performs `e += g·t` and `t += g·h` in one pass over the three vectors
-/// (`t` is loaded once and no pre-update copy is needed).
-///
-/// # Panics
-///
-/// Panics if the three slices differ in length.
-#[inline]
-pub fn fused_sigmoid_grad(g: f32, h: &[f32], t: &mut [f32], e: &mut [f32]) {
-    assert_eq!(h.len(), t.len(), "fused_sigmoid_grad operand length mismatch");
-    assert_eq!(h.len(), e.len(), "fused_sigmoid_grad operand length mismatch");
-    (KERNELS.fused_sigmoid_grad)(g, h, t, e)
 }
 
 /// `C = A · Bᵀ` where `a` is `m × k`, `bt` is `n × k` (`B` already
@@ -406,27 +380,6 @@ mod tests {
         assert_eq!(y, [3.0, 5.0, 7.0, 9.0, 11.0]);
         scale_accum(&mut y, 0.5, -1.0, &x);
         assert_eq!(y, [0.5, 0.5, 0.5, 0.5, 0.5]);
-    }
-
-    #[test]
-    fn fused_sigmoid_grad_matches_two_axpys() {
-        let h: Vec<f32> = (0..19).map(|i| i as f32 * 0.25 - 2.0).collect();
-        let t0: Vec<f32> = (0..19).map(|i| (i as f32).sin()).collect();
-        let e0: Vec<f32> = vec![0.125; 19];
-        let g = 0.375f32;
-
-        let mut t = t0.clone();
-        let mut e = e0.clone();
-        fused_sigmoid_grad(g, &h, &mut t, &mut e);
-
-        let mut t_ref = t0.clone();
-        let mut e_ref = e0;
-        scalar::axpy(g, &t0, &mut e_ref);
-        scalar::axpy(g, &h, &mut t_ref);
-        for i in 0..19 {
-            assert!((t[i] - t_ref[i]).abs() < 1e-5, "t[{i}]");
-            assert!((e[i] - e_ref[i]).abs() < 1e-5, "e[{i}]");
-        }
     }
 
     #[test]

@@ -82,33 +82,6 @@ pub unsafe fn scale_accum(y: &mut [f32], a: f32, b: f32, x: &[f32]) {
     }
 }
 
-/// Fused SGNS step: `e += g·t; t += g·h`, loading `t` once.
-#[target_feature(enable = "neon")]
-pub unsafe fn fused_sigmoid_grad(g: f32, h: &[f32], t: &mut [f32], e: &mut [f32]) {
-    debug_assert_eq!(h.len(), t.len());
-    debug_assert_eq!(h.len(), e.len());
-    let n = h.len();
-    let vg = vdupq_n_f32(g);
-    let hp = h.as_ptr();
-    let tp = t.as_mut_ptr();
-    let ep = e.as_mut_ptr();
-    let mut i = 0;
-    while i + 4 <= n {
-        let tv = vld1q_f32(tp.add(i));
-        let hv = vld1q_f32(hp.add(i));
-        let ev = vld1q_f32(ep.add(i));
-        vst1q_f32(ep.add(i), vfmaq_f32(ev, vg, tv));
-        vst1q_f32(tp.add(i), vfmaq_f32(tv, vg, hv));
-        i += 4;
-    }
-    while i < n {
-        let tv = *tp.add(i);
-        *ep.add(i) += g * tv;
-        *tp.add(i) = tv + g * *hp.add(i);
-        i += 1;
-    }
-}
-
 /// Register-blocked `C = A · Bᵀ` with 1×4 column blocking (see `x86.rs`).
 #[target_feature(enable = "neon")]
 pub unsafe fn gemm_transb(m: usize, n: usize, k: usize, a: &[f32], bt: &[f32], c: &mut [f32]) {

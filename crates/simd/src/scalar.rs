@@ -45,26 +45,6 @@ pub fn scale_accum(y: &mut [f32], a: f32, b: f32, x: &[f32]) {
     }
 }
 
-/// The fused SGNS gradient step for one (context, target) pair *after* the
-/// sigmoid: given `g = (label − σ(f)) · lr`, performs
-///
-/// ```text
-/// e[i] += g · t[i]      (accumulate the input-side error)
-/// t[i] += g · h[i]      (update the output-side row)
-/// ```
-///
-/// in one pass, so `t` is loaded once instead of twice and no `tmp` copy
-/// of the pre-update row is needed.
-pub fn fused_sigmoid_grad(g: f32, h: &[f32], t: &mut [f32], e: &mut [f32]) {
-    debug_assert_eq!(h.len(), t.len());
-    debug_assert_eq!(h.len(), e.len());
-    for i in 0..h.len() {
-        let tv = t[i];
-        e[i] += g * tv;
-        t[i] = tv + g * h[i];
-    }
-}
-
 /// `C = A · Bᵀ` where `a` is `m × k`, `bt` is `n × k` (i.e. `B`
 /// pre-transposed) and `c` is `m × n`, all row-major and packed. `c` is
 /// overwritten, not accumulated into.

@@ -118,33 +118,6 @@ pub unsafe fn scale_accum(y: &mut [f32], a: f32, b: f32, x: &[f32]) {
     }
 }
 
-/// Fused SGNS step: `e += g·t; t += g·h`, loading `t` once.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn fused_sigmoid_grad(g: f32, h: &[f32], t: &mut [f32], e: &mut [f32]) {
-    debug_assert_eq!(h.len(), t.len());
-    debug_assert_eq!(h.len(), e.len());
-    let n = h.len();
-    let vg = _mm256_set1_ps(g);
-    let hp = h.as_ptr();
-    let tp = t.as_mut_ptr();
-    let ep = e.as_mut_ptr();
-    let mut i = 0;
-    while i + 8 <= n {
-        let tv = _mm256_loadu_ps(tp.add(i));
-        let hv = _mm256_loadu_ps(hp.add(i));
-        let ev = _mm256_loadu_ps(ep.add(i));
-        _mm256_storeu_ps(ep.add(i), _mm256_fmadd_ps(vg, tv, ev));
-        _mm256_storeu_ps(tp.add(i), _mm256_fmadd_ps(vg, hv, tv));
-        i += 8;
-    }
-    while i < n {
-        let tv = *tp.add(i);
-        *ep.add(i) += g * tv;
-        *tp.add(i) = tv + g * *hp.add(i);
-        i += 1;
-    }
-}
-
 /// The 8 horizontal sums of `v`, one per lane: lane `j` is `Σ v[j]`. Two
 /// rounds of `hadd` and one cross-half add do all eight reductions at once,
 /// about a fifth of the work of eight separate [`hsum256`]s.

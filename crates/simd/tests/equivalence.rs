@@ -99,25 +99,6 @@ fn scale_accum_matches_scalar_reference() {
     }
 }
 
-#[test]
-fn fused_sigmoid_grad_matches_scalar_reference() {
-    let mut s = Stream(4);
-    for len in LENS {
-        for off in OFFSETS {
-            let h = s.vec(len + off);
-            let t0 = s.vec(len + off);
-            let e0 = s.vec(len + off);
-            let g = s.next_f32() * 0.5;
-            let (mut tg, mut eg) = (t0.clone(), e0.clone());
-            let (mut tw, mut ew) = (t0, e0);
-            simd::fused_sigmoid_grad(g, &h[off..], &mut tg[off..], &mut eg[off..]);
-            simd::scalar::fused_sigmoid_grad(g, &h[off..], &mut tw[off..], &mut ew[off..]);
-            assert_all_close(&tg, &tw, &format!("fused t len={len} off={off}"));
-            assert_all_close(&eg, &ew, &format!("fused e len={len} off={off}"));
-        }
-    }
-}
-
 /// Every GEMM dimension takes each of these: empty, below / at / above
 /// one 8-lane vector and one 16-wide tile, and the MLP's widths.
 fn gemm_dims() -> &'static [usize] {

@@ -368,9 +368,8 @@ fn run_per_walk(
 /// chunks in [`crate::WalkChunk::start`] order reproduces the `WalkSet`
 /// exactly); chunk *arrival order* follows dynamic scheduling.
 ///
-/// Prepares the sampler internally; pipelines that re-walk the same graph
-/// (fused training epochs) should prepare once and call
-/// [`generate_walks_prepared_to_sink`].
+/// Prepares the sampler internally; callers that re-walk the same graph
+/// should prepare once and call [`generate_walks_prepared_to_sink`].
 pub fn generate_walks_to_sink(
     g: &TemporalGraph,
     cfg: &WalkConfig,

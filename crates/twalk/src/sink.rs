@@ -3,10 +3,11 @@
 //! The bulk engines produce walks in worker-local blocks already — the
 //! [`WalkSet`] assembler just happens to write every block into one
 //! `|V| × K × N` matrix. A [`WalkSink`] reroutes those blocks as
-//! self-describing [`WalkChunk`]s the moment a worker finishes them, which
-//! is what the fused walk→train pipeline (DESIGN.md §16) consumes: trainer
-//! workers start on the first chunk while walk workers are still producing
-//! the rest, and the full corpus never exists in memory at once.
+//! self-describing [`WalkChunk`]s the moment a worker finishes them, so a
+//! consumer can start on the first chunk while walk workers are still
+//! producing the rest, and the full corpus never exists in memory at once.
+//! The fused walk→train pipeline that consumed them has been removed
+//! (DESIGN.md §16); only tests call this module now.
 //!
 //! Chunks cover disjoint walk-index ranges and together partition
 //! `0..total`; concatenated in `start` order they are **bit-identical** to
@@ -124,14 +125,12 @@ impl WalkSink for CollectSink {
     }
 }
 
-/// Production sink: pushes chunks into a bounded channel, blocking (and
-/// recording the stall) when trainer consumers fall behind — the
-/// backpressure edge of the fused pipeline.
+/// Channel sink: pushes chunks into a bounded channel, blocking (and
+/// recording the stall) when consumers fall behind.
 pub struct ChannelSink<'a> {
     queue: &'a BoundedQueue<WalkChunk>,
     /// Total nanoseconds walk workers spent blocked on a full channel —
-    /// always accumulated (the fused driver reports it as honest phase
-    /// attribution even with the metrics recorder off).
+    /// always accumulated, even with the metrics recorder off.
     stall_ns: AtomicU64,
     /// Per-stall distribution (`pipeline_producer_stall_ns`); no-op when
     /// the recorder is off.

@@ -206,8 +206,7 @@ fn engines_agree_on_static_mode_and_start_time() {
 /// materialized `WalkSet` of the same configuration — across all three
 /// engines × the forced per-vertex sampling methods (cdf / alias /
 /// rejection tables all drawing the softmax distribution) × thread and
-/// chunk-size grids. This is the equivalence the fused walk→train
-/// pipeline rests on.
+/// chunk-size grids.
 #[test]
 fn streamed_chunks_reassemble_bit_identical_to_walkset() {
     let sampler = TransitionSampler::Softmax;
