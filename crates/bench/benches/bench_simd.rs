@@ -4,7 +4,8 @@
 //! 128 = large-embedding stress, 1024 = serving-scale rows).
 //!
 //! Run with `SIMD_FORCE_SCALAR=1` to measure the fallback against itself
-//! (the two groups should then coincide).
+//! (the two groups should then coincide). `simd/sgns_window` times the
+//! SGNS window kernel, 1024 window steps per sample.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -91,5 +92,36 @@ fn bench_gemm(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_dot, bench_axpy, bench_gemm);
+fn bench_sgns_window(c: &mut Criterion) {
+    // The SGNS window step at its largest default shape: 10 context rows
+    // (window 5), 6 targets (5 negatives), re-gathered each call.
+    let mut group = c.benchmark_group("simd/sgns_window");
+    group.sample_size(50);
+    let values: Vec<f32> =
+        (0..1000).map(|i| 1.0 / (1.0 + (-((i as f32 / 999.0) * 12.0 - 6.0)).exp())).collect();
+    let lut = simd::SigmoidLut { values: &values, max_exp: 6.0 };
+    let (b, s) = (10usize, 6usize);
+    for dim in [8usize, 128] {
+        let inp0: Vec<f32> = filled(b * dim, 10).iter().map(|x| x - 0.5).collect();
+        let out0: Vec<f32> = filled(s * dim, 11).iter().map(|x| x - 0.5).collect();
+        let (mut inp, mut out) = (inp0.clone(), out0.clone());
+        for (name, kernel) in [
+            ("dispatched", simd::sgns_window as fn(_, &mut [f32], &mut [f32], _, _)),
+            ("scalar", simd::scalar::sgns_window),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, dim), &dim, |bch, _| {
+                bch.iter(|| {
+                    for _ in 0..1024 {
+                        inp.copy_from_slice(&inp0);
+                        out.copy_from_slice(&out0);
+                        kernel(dim, black_box(&mut inp), black_box(&mut out), lut, 0.025);
+                    }
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_dot, bench_axpy, bench_gemm, bench_sgns_window);
 criterion_main!(benches);

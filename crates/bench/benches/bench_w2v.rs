@@ -1,10 +1,12 @@
 //! Criterion bench: word2vec (RW-P2) — batch-size, layout, and reduction
 //! ablations (Figs. 5–6), plus the trainer's thread scaling.
 //!
-//! `w2v/hogwild_threads` trains one epoch at dim 8 on an SBM-shaped
-//! corpus (the `nc.sbm36k` graph: dense communities, long walks) on 1 and
-//! 2 threads, and prints tokens/s for each and the 2-thread/1-thread
-//! ratio. A ratio near 1 means the hogwild writes have stopped scaling.
+//! `w2v/hogwild_threads` trains one epoch at dims 8 and 128 on an
+//! SBM-shaped corpus (the `nc.sbm36k` graph: dense communities, long
+//! walks) on 1 and 2 threads, and prints tokens/s and ns per center (one
+//! window step) for each, plus the 2-thread/1-thread ratio. A ratio near
+//! 1 means the hogwild writes have stopped scaling; a jump in ns/center at
+//! dim 128 alone is a large-d regression in the window kernel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use embed::{train_batched, Layout, Reduction, Word2VecConfig};
@@ -107,31 +109,39 @@ fn bench_hogwild_threads(c: &mut Criterion) {
     let g = gen.builder.undirected(true).build();
     let walks = generate_walks(&g, &WalkConfig::new(10, 6).seed(1), &ParConfig::default());
     let n = g.num_nodes();
-    let cfg = Word2VecConfig::default().dim(8).epochs(1).seed(7);
+    let tokens = walks.total_vertices() as f64;
     let mut group = c.benchmark_group("w2v/hogwild_threads");
     group.sample_size(5);
-    let mut tokens_per_s = Vec::new();
-    for threads in [1usize, 2] {
-        let par = ParConfig::with_threads(threads);
-        let mut best = f64::INFINITY;
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
-            b.iter(|| {
-                let t0 = Instant::now();
-                black_box(embed::train(&walks, n, &cfg, &par));
-                best = best.min(t0.elapsed().as_secs_f64());
+    for dim in [8usize, 128] {
+        let cfg = Word2VecConfig::default().dim(dim).epochs(1).seed(7);
+        let mut tokens_per_s = Vec::new();
+        for threads in [1usize, 2] {
+            let par = ParConfig::with_threads(threads);
+            let mut best = f64::INFINITY;
+            let id = BenchmarkId::new(format!("d{dim}"), threads);
+            group.bench_with_input(id, &threads, |b, _| {
+                b.iter(|| {
+                    let t0 = Instant::now();
+                    black_box(embed::train(&walks, n, &cfg, &par));
+                    best = best.min(t0.elapsed().as_secs_f64());
+                });
             });
-        });
-        // Not finite when the filter skipped this benchmark.
-        if best.is_finite() {
-            let rate = walks.total_vertices() as f64 / best;
-            println!("    w2v/hogwild_threads/{threads}: {:.2} M tokens/s", rate * 1e-6);
-            tokens_per_s.push(rate);
+            // Not finite when the filter skipped this benchmark. Every
+            // token is one center: one window step.
+            if best.is_finite() {
+                println!(
+                    "    w2v/hogwild_threads/d{dim}/{threads}: {:.2} M tokens/s, {:.1} ns/center",
+                    tokens / best * 1e-6,
+                    best / tokens * 1e9
+                );
+                tokens_per_s.push(tokens / best);
+            }
+        }
+        if let [one, two] = tokens_per_s[..] {
+            println!("    w2v/hogwild_threads/d{dim}: 2-thread / 1-thread = {:.2}x", two / one);
         }
     }
     group.finish();
-    if let [one, two] = tokens_per_s[..] {
-        println!("    w2v/hogwild_threads: 2-thread / 1-thread = {:.2}x", two / one);
-    }
 }
 
 criterion_group!(

@@ -24,9 +24,9 @@ pub enum Reduction {
     /// analog), which the compiler vectorizes.
     Chunked,
     /// The window-batched step: negatives drawn once per center and
-    /// shared by its whole window, with scores and updates as small GEMMs
-    /// on the `simd` crate's kernels (AVX2/FMA or NEON with runtime
-    /// dispatch, scalar fallback elsewhere) — see DESIGN.md §10.
+    /// shared by its whole window, with scores and updates in one
+    /// `simd::sgns_window` call (AVX2/FMA with runtime dispatch, scalar
+    /// fallback elsewhere) — see DESIGN.md §10.
     #[default]
     Simd,
 }

@@ -200,20 +200,24 @@ impl SharedMatrix {
         }
     }
 
-    /// `row[r] += scale * v` using the dispatched SIMD kernel.
+    /// `row[r] += v` as one plain read-add-store pass over a bulk view of
+    /// the row, which the compiler vectorizes inline; racy across threads
+    /// exactly as [`read_row_simd`](Self::read_row_simd) is.
     ///
     /// # Panics
     ///
     /// Panics if `r` is out of range or `v.len() != dim`.
     #[inline]
-    pub fn add_scaled_simd(&self, r: usize, scale: f32, v: &[f32]) {
+    pub fn add_row(&self, r: usize, v: &[f32]) {
         assert_eq!(v.len(), self.dim, "vector width mismatch");
         assert!(r < self.rows, "row out of range");
         // SAFETY: in-bounds row of UnsafeCell-backed storage; the &mut
         // reconstruction is unique within this thread, racy across
         // threads by hogwild design (DESIGN.md §10).
         let row = unsafe { std::slice::from_raw_parts_mut(self.row_f32_ptr(r), self.dim) };
-        simd::axpy(scale, v, row);
+        for (x, &dx) in row.iter_mut().zip(v) {
+            *x += dx;
+        }
     }
 
     /// Snapshot of the logical (unpadded) contents, row-major.
@@ -319,11 +323,9 @@ mod tests {
             a.read_row_simd(r, &mut simd_buf);
             assert_eq!(atomic_buf, simd_buf);
 
-            a.add_scaled(r, 0.25, &v);
-            b.add_scaled_simd(r, 0.25, &v);
-            for (x, y) in a.row_vec(r).iter().zip(b.row_vec(r)) {
-                assert!((x - y).abs() < 1e-5);
-            }
+            a.add_scaled(r, 1.0, &v);
+            b.add_row(r, &v);
+            assert_eq!(a.row_vec(r), b.row_vec(r));
         }
     }
 }

@@ -117,14 +117,13 @@ impl SigmoidTable {
     /// `±max_exp` saturate to 0/1 exactly as word2vec does).
     #[inline]
     pub fn get(&self, x: f32) -> f32 {
-        if x >= self.max_exp {
-            return 1.0;
-        }
-        if x <= -self.max_exp {
-            return 0.0;
-        }
-        let idx = ((x / self.max_exp + 1.0) * 0.5 * (self.values.len() - 1) as f32) as usize;
-        self.values[idx.min(self.values.len() - 1)]
+        self.lut().get(x)
+    }
+
+    /// The table as the `simd` kernels take it; its lookup is [`get`](Self::get).
+    #[inline]
+    pub fn lut(&self) -> simd::SigmoidLut<'_> {
+        simd::SigmoidLut { values: &self.values, max_exp: self.max_exp }
     }
 }
 

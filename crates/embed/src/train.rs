@@ -283,13 +283,11 @@ struct Scratch {
     /// The window's targets: the center, then the kept negatives
     /// (S ≤ 1 + negatives slots).
     tgt: Vec<usize>,
-    /// Gathered `syn0` rows of `ctx` (B × dim).
+    /// Gathered `syn0` rows of `ctx` (B × dim), then their updates `ΔIn`.
     inp: Vec<f32>,
-    /// Gathered `syn1` rows of `tgt` (S × dim).
+    /// Gathered `syn1` rows of `tgt` (S × dim), then their updates `ΔOut`.
     out: Vec<f32>,
-    /// Scores `In·Outᵀ`, then scaled gradients `G` in place (B × S).
-    g: Vec<f32>,
-    /// Row updates `ΔIn` (B × dim), then `ΔOut` (S × dim).
+    /// [`pair_steps`]' error accumulator (dim).
     delta: Vec<f32>,
 }
 
@@ -357,14 +355,14 @@ fn train_sentence(
     (steps, draws)
 }
 
-/// The window-batched SGNS step (the pWord2Vec level-3 form): with the B
-/// context rows of `syn0` gathered into `In` and the S target rows of
-/// `syn1` (center first, label 1; then the negatives, label 0) into
-/// `Out`, computes `G = (label − σ(In·Outᵀ)) · lr` and applies
-/// `ΔIn = G·Out` and `ΔOut = Gᵀ·In` with one row write per slot. All
-/// reads precede all writes, so a vertex in two slots (a repeated context
-/// word or negative) sees the pre-window row in both and receives both
-/// updates.
+/// The window-batched SGNS step (the pWord2Vec level-3 form): gathers the
+/// B context rows of `syn0` into `In` and the S target rows of `syn1`
+/// (center first, label 1; then the negatives, label 0) into `Out`, turns
+/// them into `ΔIn = G·Out` and `ΔOut = Gᵀ·In` with
+/// `G = (label − σ(In·Outᵀ)) · lr` in one [`simd::sgns_window`] call, and
+/// adds each slot's update to its row once. All reads precede all
+/// writes, so a vertex in two slots (a repeated context word or negative)
+/// sees the pre-window row in both and receives both updates.
 ///
 /// Returns the number of (context, target) scores, `B · S`.
 fn window_step(
@@ -378,31 +376,18 @@ fn window_step(
     let (nb, ns) = (s.ctx.len(), s.tgt.len());
     s.inp.resize(nb * dim, 0.0);
     s.out.resize(ns * dim, 0.0);
-    s.g.resize(nb * ns, 0.0);
-    s.delta.resize(nb.max(ns) * dim, 0.0);
     for (&v, row) in s.ctx.iter().zip(s.inp.chunks_exact_mut(dim)) {
         syn0.read_row_simd(v, row);
     }
     for (&t, row) in s.tgt.iter().zip(s.out.chunks_exact_mut(dim)) {
         syn1.read_row_simd(t, row);
     }
-    simd::gemm_transb(nb, ns, dim, &s.inp, &s.out, &mut s.g);
-    for g in s.g.chunks_exact_mut(ns) {
-        for (k, gk) in g.iter_mut().enumerate() {
-            let label = if k == 0 { 1.0 } else { 0.0 };
-            *gk = (label - sigmoid.get(*gk)) * lr;
-        }
+    simd::sgns_window(dim, &mut s.inp, &mut s.out, sigmoid.lut(), lr);
+    for (&v, row) in s.ctx.iter().zip(s.inp.chunks_exact(dim)) {
+        syn0.add_row(v, row);
     }
-    let d_in = &mut s.delta[..nb * dim];
-    simd::gemm(nb, dim, ns, &s.g, &s.out, d_in, simd::Epilogue::None);
-    for (&v, row) in s.ctx.iter().zip(d_in.chunks_exact(dim)) {
-        syn0.add_scaled_simd(v, 1.0, row);
-    }
-    let d_out = &mut s.delta[..ns * dim];
-    d_out.fill(0.0);
-    simd::gemm_transa_accum(nb, dim, ns, &s.g, &s.inp, d_out);
-    for (&t, row) in s.tgt.iter().zip(d_out.chunks_exact(dim)) {
-        syn1.add_scaled_simd(t, 1.0, row);
+    for (&t, row) in s.tgt.iter().zip(s.out.chunks_exact(dim)) {
+        syn1.add_row(t, row);
     }
     (nb * ns) as u64
 }

@@ -161,7 +161,10 @@ impl Trainer {
     /// The training loop. One [`Workspace`] sized to `batch_size` carries
     /// every batch — gather, step, `Sgd::step` — and the block-wise
     /// validation pass, so after the first batch an epoch allocates
-    /// nothing.
+    /// nothing. The whole fit flushes subnormals to zero: the momentum of
+    /// a weight whose gradient has died decays geometrically into the
+    /// subnormal range, and each `Sgd::step` over it would otherwise take
+    /// the CPU's microcoded slow path.
     fn run(
         &self,
         mlp: &mut Mlp,
@@ -172,6 +175,7 @@ impl Trainer {
     ) -> TrainReport {
         let n_rows = x_train.rows();
         assert!(n_rows > 0, "no training rows");
+        let _flush = simd::FlushSubnormals::new();
         let mut opt = Sgd::new(self.opts.lr).decay(self.opts.lr_decay);
         if self.opts.momentum > 0.0 {
             opt = opt.momentum(self.opts.momentum);

@@ -3,14 +3,19 @@
 //!
 //! The paper's §V-B GPU optimizations are all about maximizing
 //! per-dimension arithmetic throughput; this crate is the CPU counterpart.
-//! Each public function (`dot`, `axpy`, `scale_accum`, and the three GEMM
-//! forms `gemm`, `gemm_transb`, `gemm_transa_accum`) has three
-//! implementations:
+//! Each public function (`dot`, `axpy`, `scale_accum`, the three GEMM
+//! forms `gemm`, `gemm_transb`, `gemm_transa_accum`, and the fused SGNS
+//! window step `sgns_window`) has three implementations:
 //!
 //! * **AVX2 + FMA** (`x86`/`x86_64`) — 8-lane fused multiply-add kernels;
-//! * **NEON** (`aarch64`) — 4-lane equivalents (`gemm` and
-//!   `gemm_transa_accum` point at the scalar code: no NEON host tests them);
+//! * **NEON** (`aarch64`) — 4-lane equivalents (`gemm`,
+//!   `gemm_transa_accum` and `sgns_window` point at the scalar code: no
+//!   NEON host tests them);
 //! * **scalar** — portable unrolled loops, the semantic reference.
+//!
+//! [`FlushSubnormals`] is the one piece of floating-point environment
+//! control: a guard that flushes subnormals to zero while a classifier
+//! trains.
 //!
 //! Selection happens **once**, on first use, via
 //! `is_x86_feature_detected!` (resp. `is_aarch64_feature_detected!`) into
@@ -85,6 +90,7 @@ struct KernelTable {
     gemm_transb: fn(usize, usize, usize, &[f32], &[f32], &mut [f32]),
     gemm: fn(usize, usize, usize, &[f32], &[f32], &mut [f32], Epilogue<'_>),
     gemm_transa_accum: fn(usize, usize, usize, &[f32], &[f32], &mut [f32]),
+    sgns_window: fn(usize, &mut [f32], &mut [f32], SigmoidLut<'_>, f32),
 }
 
 fn scalar_table() -> KernelTable {
@@ -96,6 +102,7 @@ fn scalar_table() -> KernelTable {
         gemm_transb: scalar::gemm_transb,
         gemm: scalar::gemm,
         gemm_transa_accum: scalar::gemm_transa_accum,
+        sgns_window: scalar::sgns_window,
     }
 }
 
@@ -139,6 +146,28 @@ mod x86_entry {
         // SAFETY: as above; `super::gemm_transa_accum` checked every length.
         unsafe { x86::gemm_transa_accum(m, n, k, a, b, c) }
     }
+    pub fn sgns_window(
+        d: usize,
+        inp: &mut [f32],
+        out: &mut [f32],
+        sigmoid: super::SigmoidLut<'_>,
+        lr: f32,
+    ) {
+        let len = x86::window_scratch_len(inp.len() / d, out.len() / d);
+        // The kernel writes every scratch float before reading it, so the
+        // stack buffer is left uninitialized rather than zeroed per call.
+        let mut stack = std::mem::MaybeUninit::<[f32; super::WINDOW_STACK_FLOATS]>::uninit();
+        let mut heap = Vec::new();
+        let g = if len <= super::WINDOW_STACK_FLOATS {
+            stack.as_mut_ptr().cast::<f32>()
+        } else {
+            heap.resize(len, 0.0);
+            heap.as_mut_ptr()
+        };
+        // SAFETY: as above; `super::sgns_window` checked both row buffers,
+        // and `g` points at `len` writable floats.
+        unsafe { x86::sgns_window(d, inp, out, g, sigmoid, lr) }
+    }
 }
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -151,6 +180,7 @@ fn avx2_table() -> KernelTable {
         gemm_transb: x86_entry::gemm_transb,
         gemm: x86_entry::gemm,
         gemm_transa_accum: x86_entry::gemm_transa_accum,
+        sgns_window: x86_entry::sgns_window,
     }
 }
 
@@ -187,6 +217,7 @@ fn neon_table() -> KernelTable {
         gemm_transb: neon_entry::gemm_transb,
         gemm: scalar::gemm,
         gemm_transa_accum: scalar::gemm_transa_accum,
+        sgns_window: scalar::sgns_window,
     }
 }
 
@@ -350,6 +381,140 @@ pub fn gemm_transa_accum(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: 
     (KERNELS.gemm_transa_accum)(m, n, k, a, b, c)
 }
 
+/// word2vec's sigmoid lookup: `values` samples σ at `values.len()` evenly
+/// spaced points over `[-max_exp, max_exp]`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SigmoidLut<'a> {
+    /// σ at the bucket points, first at `-max_exp`, last at `max_exp`.
+    pub values: &'a [f32],
+    /// Half-width of the tabulated range (word2vec: 6).
+    pub max_exp: f32,
+}
+
+impl SigmoidLut<'_> {
+    /// Approximate σ(x): exactly 1 at or above `max_exp`, exactly 0 at or
+    /// below `-max_exp`, else the value of bucket
+    /// `⌊(x / max_exp + 1) · ½ · (len − 1)⌋`. Every backend of
+    /// [`sgns_window`] picks this bucket for a given score.
+    #[inline]
+    pub fn get(&self, x: f32) -> f32 {
+        if x >= self.max_exp {
+            return 1.0;
+        }
+        if x <= -self.max_exp {
+            return 0.0;
+        }
+        let last = self.values.len() - 1;
+        let idx = ((x / self.max_exp + 1.0) * 0.5 * last as f32) as usize;
+        self.values[idx.min(last)]
+    }
+}
+
+/// Floats of stack scratch a [`sgns_window`] backend keeps for `G` and one
+/// column chunk of `ΔOut`: enough for every window of up to 24 context
+/// rows and 8 targets (window ≤ 12, negatives ≤ 7). Larger windows take a
+/// heap buffer.
+const WINDOW_STACK_FLOATS: usize = 256;
+
+/// One skip-gram-with-negative-sampling window step, in place.
+///
+/// `inp` holds the B gathered context rows and `out` the S gathered target
+/// rows, each `d` wide and packed; target 0 is the positive (label 1), the
+/// rest are negatives (label 0). With `G = (label − σ(In · Outᵀ)) · lr`
+/// (B × S, σ from `sigmoid`), the call overwrites `inp` with
+/// `ΔIn = G · Out` and `out` with `ΔOut = Gᵀ · In`, both computed from the
+/// rows as passed in. Scores and `G` never leave the kernel.
+///
+/// # Panics
+///
+/// Panics if `d == 0`, either buffer is not a whole number of rows, or
+/// `sigmoid.values` is empty or longer than `i32::MAX` (the AVX2 kernel
+/// gathers from it with 32-bit indices).
+///
+/// # Examples
+///
+/// ```
+/// let values = [0.25f32, 0.5, 0.75];
+/// let sigmoid = simd::SigmoidLut { values: &values, max_exp: 6.0 };
+/// let (mut inp, mut out) = ([1.0f32, 0.0], [0.0f32, 2.0]);
+/// simd::sgns_window(2, &mut inp, &mut out, sigmoid, 0.5);
+/// // Score 0 sits in the middle bucket: G = (1 − 0.5) · 0.5.
+/// assert_eq!((inp, out), ([0.0, 0.5], [0.25, 0.0]));
+/// ```
+#[inline]
+pub fn sgns_window(d: usize, inp: &mut [f32], out: &mut [f32], sigmoid: SigmoidLut<'_>, lr: f32) {
+    assert!(d > 0, "window rows must be at least one float wide");
+    assert_eq!(inp.len() % d, 0, "context buffer is not whole rows");
+    assert_eq!(out.len() % d, 0, "target buffer is not whole rows");
+    assert!(
+        (1..=i32::MAX as usize).contains(&sigmoid.values.len()),
+        "sigmoid table must hold 1..=i32::MAX values"
+    );
+    if inp.is_empty() || out.is_empty() {
+        return;
+    }
+    (KERNELS.sgns_window)(d, inp, out, sigmoid, lr)
+}
+
+/// While alive, flushes subnormal `f32` results and inputs to zero on the
+/// current thread; dropping it (also during a panic's unwind) restores the
+/// thread's previous mode.
+///
+/// On x86-64 this sets MXCSR's flush-to-zero (bit 15) and
+/// denormals-are-zero (bit 6) bits. Elsewhere, and under Miri, it does
+/// nothing. Gradients that decay toward zero otherwise run through the
+/// CPU's slow subnormal path on every multiply.
+#[derive(Debug)]
+pub struct FlushSubnormals {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    saved: u32,
+}
+
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+mod mxcsr {
+    use core::arch::asm;
+
+    pub const FTZ: u32 = 1 << 15;
+    pub const DAZ: u32 = 1 << 6;
+
+    pub fn get() -> u32 {
+        let mut csr = 0u32;
+        // SAFETY: `stmxcsr` stores the 4-byte MXCSR to a valid, writable
+        // local.
+        unsafe { asm!("stmxcsr [{}]", in(reg) &mut csr, options(nostack, preserves_flags)) };
+        csr
+    }
+
+    pub fn set(csr: u32) {
+        // SAFETY: `ldmxcsr` reads 4 bytes from a valid local. The caller
+        // only passes back a word `get` returned, with at most the FTZ and
+        // DAZ bits changed, which every x86-64 CPU supports.
+        unsafe { asm!("ldmxcsr [{}]", in(reg) &csr, options(nostack, readonly, preserves_flags)) };
+    }
+}
+
+impl FlushSubnormals {
+    /// Starts flushing subnormals on this thread.
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> Self {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        {
+            let saved = mxcsr::get();
+            mxcsr::set(saved | mxcsr::FTZ | mxcsr::DAZ);
+            Self { saved }
+        }
+        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+        Self {}
+    }
+}
+
+impl Drop for FlushSubnormals {
+    fn drop(&mut self) {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        mxcsr::set(self.saved);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,6 +561,27 @@ mod tests {
                 assert!((got - expect).abs() < 1e-4, "c[{i}][{j}]: {got} vs {expect}");
             }
         }
+    }
+
+    #[test]
+    fn flush_subnormals_guard_flushes_and_restores() {
+        let half_min = || std::hint::black_box(f32::MIN_POSITIVE) * std::hint::black_box(0.5);
+        let subnormal = half_min();
+        assert!(subnormal > 0.0 && !subnormal.is_normal());
+        let flushes = cfg!(all(target_arch = "x86_64", not(miri)));
+        {
+            let _flush = FlushSubnormals::new();
+            assert_eq!(half_min() == 0.0, flushes);
+        }
+        assert_eq!(half_min(), subnormal);
+        // A panic inside the guard unwinds through its drop.
+        let caught = std::panic::catch_unwind(|| {
+            let _flush = FlushSubnormals::new();
+            assert_eq!(half_min() == 0.0, flushes);
+            panic!("inside the guard");
+        });
+        assert!(caught.is_err());
+        assert_eq!(half_min(), subnormal);
     }
 
     #[test]

@@ -100,3 +100,45 @@ pub fn gemm_transa_accum(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: 
         }
     }
 }
+
+/// The window step of [`crate::sgns_window`]: `G = (label − σ(In·Outᵀ))·lr`
+/// over the `b = inp.len() / d` context rows and `s = out.len() / d`
+/// targets (target 0 labelled 1), then `inp ← G·Out` and `out ← Gᵀ·In`
+/// from the rows as passed in.
+pub fn sgns_window(
+    d: usize,
+    inp: &mut [f32],
+    out: &mut [f32],
+    sigmoid: crate::SigmoidLut<'_>,
+    lr: f32,
+) {
+    let (b, s) = (inp.len() / d, out.len() / d);
+    let (mut stack, mut heap) = ([0.0; crate::WINDOW_STACK_FLOATS], Vec::new());
+    let scratch = if b * s + s <= stack.len() {
+        &mut stack[..b * s + s]
+    } else {
+        heap.resize(b * s + s, 0.0);
+        &mut heap[..]
+    };
+    let (g, col) = scratch.split_at_mut(b * s);
+    for (j, grow) in g.chunks_exact_mut(s).enumerate() {
+        let x = &inp[j * d..(j + 1) * d];
+        for (k, gk) in grow.iter_mut().enumerate() {
+            let label = if k == 0 { 1.0 } else { 0.0 };
+            *gk = (label - sigmoid.get(dot(x, &out[k * d..(k + 1) * d]))) * lr;
+        }
+    }
+    // One column of both tables at a time: `ΔOut` waits in `col` until
+    // `ΔIn` has read the column's original targets.
+    for e in 0..d {
+        for (k, ck) in col.iter_mut().enumerate() {
+            *ck = (0..b).map(|j| g[j * s + k] * inp[j * d + e]).sum();
+        }
+        for j in 0..b {
+            inp[j * d + e] = (0..s).map(|k| g[j * s + k] * out[k * d + e]).sum();
+        }
+        for (k, &ck) in col.iter().enumerate() {
+            out[k * d + e] = ck;
+        }
+    }
+}

@@ -464,3 +464,131 @@ pub unsafe fn gemm_transa_accum(m: usize, n: usize, k: usize, a: &[f32], b: &[f3
         accumulate: true,
     });
 }
+
+/// Scratch floats [`sgns_window`] needs for `b` context rows and `s`
+/// targets: `G` as `b` rows of `s` rounded up to 8 (the padding holds
+/// zeros), then one 8-lane chunk of `ΔOut` per padded target.
+pub fn window_scratch_len(b: usize, s: usize) -> usize {
+    (b + 8) * s.next_multiple_of(8)
+}
+
+/// `G = (label − σ(score)) · lr` for 8 targets' scores, zero outside
+/// `live`; `positive` puts label 1 on lane 0. σ is `SigmoidLut::get`
+/// lane for lane: the bucket position runs through the same f32 divide,
+/// add and multiplies in the same order, truncates, and is clamped into
+/// the table (a NaN score lands on bucket 0, as `as usize` sends it), and
+/// scores at or beyond `±max_exp` saturate to 1 or 0 with the upper test
+/// first.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn grad8(
+    scores: __m256,
+    positive: bool,
+    live: __m256i,
+    sigmoid: crate::SigmoidLut<'_>,
+    lr: f32,
+) -> __m256 {
+    let max = _mm256_set1_ps(sigmoid.max_exp);
+    let last = sigmoid.values.len() - 1;
+    let pos = _mm256_add_ps(_mm256_div_ps(scores, max), _mm256_set1_ps(1.0));
+    let pos = _mm256_mul_ps(_mm256_mul_ps(pos, _mm256_set1_ps(0.5)), _mm256_set1_ps(last as f32));
+    let idx = _mm256_max_epi32(_mm256_cvttps_epi32(pos), _mm256_setzero_si256());
+    let idx = _mm256_min_epi32(idx, _mm256_set1_epi32(last as i32));
+    let table = _mm256_i32gather_ps::<4>(sigmoid.values.as_ptr(), idx);
+    let below = _mm256_cmp_ps::<_CMP_LE_OQ>(scores, _mm256_sub_ps(_mm256_setzero_ps(), max));
+    let above = _mm256_cmp_ps::<_CMP_GE_OQ>(scores, max);
+    let sig = _mm256_blendv_ps(_mm256_andnot_ps(below, table), _mm256_set1_ps(1.0), above);
+    let label = if positive {
+        _mm256_setr_ps(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    } else {
+        _mm256_setzero_ps()
+    };
+    let g = _mm256_mul_ps(_mm256_sub_ps(label, sig), _mm256_set1_ps(lr));
+    _mm256_and_ps(g, _mm256_castsi256_ps(live))
+}
+
+/// The SGNS window step of `crate::sgns_window`, over 8-lane column
+/// chunks of `d` with the last one masked, and over targets 8 at a time:
+/// lanes past the last target re-read it and get `G = 0`, so every tile is
+/// a fully unrolled 8-wide one whose accumulators stay in registers.
+///
+/// Pass 1 scores one context row against 8 targets (8 FMA chains over
+/// the chunks, one [`hsum8`]) and [`grad8`] turns the 8 scores into `G`
+/// in registers. Pass 2 walks the column chunks: `ΔOut` of the chunk from
+/// the original context chunk into scratch, then `ΔIn` from the original
+/// target chunk over `inp`, then the scratch over `out`.
+///
+/// `gp` must point at [`window_scratch_len`] writable floats, which may
+/// be uninitialized: every one is written before it is read.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub unsafe fn sgns_window(
+    d: usize,
+    inp: &mut [f32],
+    out: &mut [f32],
+    gp: *mut f32,
+    sigmoid: crate::SigmoidLut<'_>,
+    lr: f32,
+) {
+    let (b, s) = (inp.len() / d, out.len() / d);
+    let sp = s.next_multiple_of(8);
+    let (ip, op) = (inp.as_mut_ptr(), out.as_mut_ptr());
+    let tp = gp.add(b * sp);
+    let full = _mm256_set1_epi32(-1);
+    let target = |tg: usize, q: usize| op.add((tg + q).min(s - 1) * d);
+
+    for tg in (0..sp).step_by(8) {
+        let rows: [*const f32; 8] = core::array::from_fn(|q| target(tg, q).cast_const());
+        let live = if s - tg >= 8 { full } else { tail_mask(s - tg) };
+        for j in 0..b {
+            let x = ip.add(j * d);
+            let mut acc = [_mm256_setzero_ps(); 8];
+            let mut c = 0;
+            while c < d {
+                let masked = c + 8 > d;
+                let mask = if masked { tail_mask(d - c) } else { full };
+                let xv = load(x.add(c), masked, mask);
+                for (acc, row) in acc.iter_mut().zip(&rows) {
+                    *acc = _mm256_fmadd_ps(xv, load(row.add(c), masked, mask), *acc);
+                }
+                c += 8;
+            }
+            let g = grad8(hsum8(acc), tg == 0, live, sigmoid, lr);
+            _mm256_storeu_ps(gp.add(j * sp + tg), g);
+        }
+    }
+
+    let mut c = 0;
+    while c < d {
+        let masked = c + 8 > d;
+        let mask = if masked { tail_mask(d - c) } else { full };
+        for tg in (0..sp).step_by(8) {
+            let mut acc = [_mm256_setzero_ps(); 8];
+            for j in 0..b {
+                let x = load(ip.add(j * d + c), masked, mask);
+                let grow = gp.add(j * sp + tg);
+                for (q, acc) in acc.iter_mut().enumerate() {
+                    *acc = _mm256_fmadd_ps(_mm256_broadcast_ss(&*grow.add(q)), x, *acc);
+                }
+            }
+            for (q, acc) in acc.iter().enumerate() {
+                _mm256_storeu_ps(tp.add((tg + q) * 8), *acc);
+            }
+        }
+        for tg in (0..sp).step_by(8) {
+            let o: [__m256; 8] = core::array::from_fn(|q| load(target(tg, q).add(c), masked, mask));
+            for j in 0..b {
+                let xp = ip.add(j * d + c);
+                let grow = gp.add(j * sp + tg);
+                let mut acc = if tg == 0 { _mm256_setzero_ps() } else { load(xp, masked, mask) };
+                for (q, &o) in o.iter().enumerate() {
+                    acc = _mm256_fmadd_ps(_mm256_broadcast_ss(&*grow.add(q)), o, acc);
+                }
+                store(xp, acc, masked, mask);
+            }
+        }
+        for k in 0..s {
+            store(op.add(k * d + c), _mm256_loadu_ps(tp.add(k * 8)), masked, mask);
+        }
+        c += 8;
+    }
+}

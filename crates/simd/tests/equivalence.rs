@@ -3,7 +3,9 @@
 //! (lengths 0..=67 cover all residues mod 8 and mod 16; the GEMM shape
 //! grid covers the register tiles' row, 16-/8-column and masked-column
 //! remainders, one-column and one-term products) and across unaligned
-//! slice offsets (0..=3 elements, shifting 16-/32-byte alignment).
+//! slice offsets (0..=3 elements, shifting 16-/32-byte alignment). The
+//! SGNS window kernel is held to 1e-5 over its own grid, with σ's bucket
+//! pinned exactly.
 //!
 //! On SIMD hardware these exercise the intrinsics paths; under
 //! `SIMD_FORCE_SCALAR=1` or Miri they degenerate to scalar-vs-scalar,
@@ -172,6 +174,104 @@ fn gemm_transb_matches_scalar_reference() {
         simd::scalar::gemm_transb(m, n, k, &a[off..], &bt[off..], &mut want[off..]);
         assert_all_close(&got[off..], &want[off..], &format!("gemm_transb {m}x{n}x{k} off={off}"));
     }
+}
+
+/// word2vec's σ table: 1000 buckets over `[-6, 6]`.
+fn sigmoid_values() -> Vec<f32> {
+    (0..1000)
+        .map(|i| {
+            let x = (i as f32 / 999.0 * 2.0 - 1.0) * 6.0;
+            1.0 / (1.0 + (-x).exp())
+        })
+        .collect()
+}
+
+/// Dyadic values `i / 64`, `|i| ≤ 32`: every product and every sum of up
+/// to 128 of them is exact in f32, so each backend computes bit-equal
+/// scores and the σ bucket cannot depend on summation order.
+fn dyadic(s: &mut Stream, n: usize) -> Vec<f32> {
+    (0..n).map(|_| (s.next_f32() * 32.0).round() / 64.0).collect()
+}
+
+/// The window kernel's grid: context rows × targets × widths × offsets.
+fn window_grid() -> Vec<(usize, usize, usize, usize)> {
+    let (bs, ss, ds, offs): (Vec<usize>, Vec<usize>, &[usize], &[usize]) = if cfg!(miri) {
+        (vec![1, 3], vec![1, 7], &[1, 9], &[0, 1])
+    } else {
+        ((1..=10).collect(), (1..=7).collect(), &[1, 3, 7, 8, 9, 16, 33, 128], &OFFSETS)
+    };
+    let mut grid = Vec::new();
+    for &b in &bs {
+        for &s in &ss {
+            for &d in ds {
+                for &off in offs {
+                    grid.push((b, s, d, off));
+                }
+            }
+        }
+    }
+    // Windows too large for the kernels' stack scratch.
+    grid.extend([(40, 12, 9, 1), (25, 9, 33, 0)]);
+    grid
+}
+
+#[test]
+fn sgns_window_matches_scalar_reference() {
+    let values = sigmoid_values();
+    let lut = simd::SigmoidLut { values: &values, max_exp: 6.0 };
+    let mut s = Stream(10);
+    for (b, t, d, off) in window_grid() {
+        let mut inp0 = dyadic(&mut s, b * d + off);
+        let mut out0 = dyadic(&mut s, t * d + off);
+        // Context row 0 is the unit vector e0, so its score against target
+        // k is that target's first element: plant both saturation sides
+        // beyond the table and both of its edges.
+        inp0[off..off + d].fill(0.0);
+        inp0[off] = 1.0;
+        for (k, first) in [9.0, -9.0, 6.0, -6.0].into_iter().enumerate().take(t) {
+            out0[off + k * d] = first;
+        }
+        let (mut inp, mut out) = (inp0.clone(), out0.clone());
+        let (mut inp_want, mut out_want) = (inp0, out0);
+        simd::sgns_window(d, &mut inp[off..], &mut out[off..], lut, 0.25);
+        simd::scalar::sgns_window(d, &mut inp_want[off..], &mut out_want[off..], lut, 0.25);
+        let ctx = format!("sgns_window b={b} s={t} d={d} off={off}");
+        for (got, want, what) in [(&inp, &inp_want, "ΔIn"), (&out, &out_want, "ΔOut")] {
+            for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+                let scale = 1.0f32.max(w.abs());
+                assert!((g - w).abs() <= 1e-5 * scale, "{ctx} {what}[{i}]: {g} vs {w}");
+            }
+        }
+    }
+}
+
+#[test]
+fn sgns_window_sigmoid_picks_the_lookup_bucket() {
+    let values = sigmoid_values();
+    let lut = simd::SigmoidLut { values: &values, max_exp: 6.0 };
+    // Every bucket boundary and its neighbouring floats, the table's
+    // edges, beyond them, and the non-finite scores.
+    let mut xs = vec![0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 100.0, -100.0];
+    for i in 0..values.len() {
+        let x = (i as f32 / 999.0 * 2.0 - 1.0) * 6.0;
+        xs.extend([x, f32::from_bits(x.to_bits() + 1), f32::from_bits(x.to_bits() - 1)]);
+    }
+    // d = 1 and a context row of [1]: each target's score is exactly its
+    // value, and its `ΔOut` is exactly its `G`.
+    const S: usize = 9;
+    for (n, chunk) in xs.chunks(S).enumerate() {
+        let mut inp = [1.0f32];
+        let mut out = chunk.to_vec();
+        simd::sgns_window(1, &mut inp, &mut out, lut, 0.5);
+        for (k, (&x, &g)) in chunk.iter().zip(&out).enumerate() {
+            let label = if k == 0 { 1.0 } else { 0.0 };
+            let want = (label - lut.get(x)) * 0.5;
+            assert_eq!(g.to_bits(), want.to_bits(), "chunk {n} target {k}: score {x}");
+        }
+    }
+    assert_eq!(lut.get(6.0), 1.0);
+    assert_eq!(lut.get(-6.0), 0.0);
+    assert_eq!(lut.get(0.0), values[499]);
 }
 
 #[test]
