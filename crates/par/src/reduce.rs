@@ -102,11 +102,11 @@ mod tests {
 
     #[test]
     fn map_reduce_sum_matches_serial() {
-        let total = parallel_map_reduce(
+        let total = parallel_reduce_with(
             &ParConfig::with_threads(8).chunk_size(7),
             12_345,
             0u64,
-            |i| (i as u64) % 97,
+            |acc, start, end| acc + (start..end).map(|i| (i as u64) % 97).sum::<u64>(),
             |a, b| a + b,
         );
         let serial: u64 = (0..12_345u64).map(|i| i % 97).sum();
@@ -137,17 +137,18 @@ mod tests {
 
     #[test]
     fn empty_reduce_returns_identity() {
-        let v = parallel_map_reduce(&ParConfig::default(), 0, 42u64, |_| 0, |a, b| a + b);
+        let v =
+            parallel_reduce_with(&ParConfig::default(), 0, 42u64, |acc, _, _| acc, |a, b| a + b);
         assert_eq!(v, 42);
     }
 
     #[test]
     fn max_reduce() {
-        let m = parallel_map_reduce(
+        let m = parallel_reduce_with(
             &ParConfig::with_threads(3).chunk_size(11),
             500,
             0u64,
-            |i| ((i * 7919) % 1009) as u64,
+            |acc, start, end| (start..end).map(|i| ((i * 7919) % 1009) as u64).fold(acc, u64::max),
             |a, b| a.max(b),
         );
         let serial = (0..500u64).map(|i| (i * 7919) % 1009).max().unwrap();

@@ -173,6 +173,39 @@ fn refresh_paths_are_engine_independent() {
     }
 }
 
+/// Engine identity under each forced per-vertex sampling method: cdf,
+/// alias and rejection tables all draw the softmax distribution, but each
+/// consumes the RNG its own way, so every engine must reproduce the
+/// per-walk reference for every method, across thread and chunk-size
+/// geometries.
+#[test]
+fn forced_sampling_methods_are_bit_identical_across_engines() {
+    let sampler = TransitionSampler::Softmax;
+    for (name, g) in graphs() {
+        for method in [SamplingMethod::Cdf, SamplingMethod::Alias, SamplingMethod::Rejection] {
+            let prepared = SamplerBuilder::new(sampler).method(method).build(&g);
+            let cfg = WalkConfig::new(4, 7).sampler(sampler).seed(29);
+            let reference = generate_walks_prepared(
+                &g,
+                &cfg.engine(WalkEngine::PerWalk),
+                &prepared,
+                &ParConfig::with_threads(1),
+            );
+            for engine in [WalkEngine::PerWalk, WalkEngine::Batched, WalkEngine::Interleaved] {
+                for (threads, chunk) in [(1usize, 13usize), (4, 64), (8, 256)] {
+                    let par = ParConfig::with_threads(threads).chunk_size(chunk);
+                    let got = generate_walks_prepared(&g, &cfg.engine(engine), &prepared, &par);
+                    assert_eq!(
+                        got, reference,
+                        "{engine} diverged on {name} with {method}, \
+                         {threads} threads, chunk {chunk}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Engine identity must also hold for non-default temporal semantics:
 /// static mode (timestamps ignored) and a finite first-hop start time.
 #[test]
