@@ -20,12 +20,10 @@
 //! assert_eq!(squares[31], 961);
 //! ```
 
-mod bounded;
 mod config;
 mod pool;
 mod reduce;
 
-pub use bounded::{BoundedQueue, ProducerGuard, TryPushError};
 pub use config::ParConfig;
 pub use pool::{
     parallel_chunks, parallel_chunks_shared, parallel_for, parallel_for_index, parallel_workers,

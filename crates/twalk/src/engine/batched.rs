@@ -109,7 +109,7 @@ impl Scratch {
 ///
 /// Blocks are disjoint slot ranges, so each output row is written by
 /// exactly one worker (same aliasing argument as the per-walk engine's
-/// chunks); in sink mode each block is emitted whole once it drains.
+/// chunks).
 pub(super) fn run(
     g: &TemporalGraph,
     cfg: &WalkConfig,
@@ -117,27 +117,14 @@ pub(super) fn run(
     par: &ParConfig,
     starts: StartSet<'_>,
     total: usize,
-    out: &Output<'_>,
+    out: Output,
 ) {
     let par = par.chunk_size(par.chunk().max(MIN_BLOCK));
     let stats = RoundStats::from_global();
     parallel_workers(&par, total, |queue| {
         let mut scratch = Scratch::new(g.num_nodes());
         while let Some(block) = queue.next_chunk() {
-            out.with_block(block, cfg.max_length, |nodes_ptr, lengths_ptr, base| {
-                run_block(
-                    g,
-                    cfg,
-                    sampler,
-                    starts,
-                    block,
-                    &mut scratch,
-                    nodes_ptr,
-                    lengths_ptr,
-                    base,
-                    &stats,
-                );
-            });
+            run_block(g, cfg, sampler, starts, block, &mut scratch, out, &stats);
         }
     });
 }
@@ -168,8 +155,7 @@ impl RoundStats {
 }
 
 /// Advances every walk in `block` from seed to termination, one hop per
-/// round. Output rows are addressed at `slot index − base` (the
-/// [`Output::with_block`] contract).
+/// round, writing walk slot `start + j` to output row `start + j`.
 #[allow(clippy::too_many_arguments)]
 fn run_block(
     g: &TemporalGraph,
@@ -178,19 +164,14 @@ fn run_block(
     starts: StartSet<'_>,
     (start, end): (usize, usize),
     s: &mut Scratch,
-    nodes_ptr: usize,
-    lengths_ptr: usize,
-    base: usize,
+    out: Output,
     stats: &RoundStats,
 ) {
-    let nodes = nodes_ptr as *mut NodeId;
-    let lengths = lengths_ptr as *mut u32;
+    let nodes = out.nodes as *mut NodeId;
+    let lengths = out.lengths as *mut u32;
     let nl = cfg.max_length;
     let block_len = end - start;
     let stride = starts.stride();
-    // First output row of this block: 0 in sink mode (base == start),
-    // `start` against the full matrix (base == 0).
-    let row0 = start - base;
 
     s.curr.clear();
     s.curr_time.clear();
@@ -209,7 +190,7 @@ fn run_block(
         s.curr_time.push(cfg.start_time);
         s.written.push(1);
         // SAFETY: slot start + j lies in this worker's disjoint block.
-        unsafe { *nodes.add((row0 + j) * nl) = v };
+        unsafe { *nodes.add((start + j) * nl) = v };
         s.frontier.push(j as u32);
         i += 1;
         if i == stride {
@@ -259,7 +240,7 @@ fn run_block(
             let len = s.written[slot] as usize;
             // SAFETY: slot start + slot is in this worker's block and
             // len < nl (walks leave the frontier at nl vertices).
-            unsafe { *nodes.add((row0 + slot) * nl + len) = next };
+            unsafe { *nodes.add((start + slot) * nl + len) = next };
             s.written[slot] = (len + 1) as u32;
             s.frontier.push(slot as u32);
         }
@@ -268,7 +249,7 @@ fn run_block(
 
     for j in 0..block_len {
         // SAFETY: disjoint block, as above.
-        unsafe { *lengths.add(row0 + j) = s.written[j] };
+        unsafe { *lengths.add(start + j) = s.written[j] };
     }
     stats.rounds.add(rounds_local);
     stats.groups.add(groups_local);

@@ -130,26 +130,22 @@ struct RingPtrs<'a> {
 
 /// Where the next seed comes from: the worker's claimed block `[..end)`
 /// with the walk-number / start-index counters carried so the seeding
-/// path stays division-free (one division per block). `base` is the
-/// output-row offset from the [`Output::with_block`] contract (walk
-/// `idx` writes row `idx − base`).
+/// path stays division-free (one division per block). Walk `idx` writes
+/// output row `idx`.
 struct SeedCursor {
     next: usize,
     end: usize,
     w: usize,
     i: usize,
     stride: usize,
-    base: usize,
 }
 
 /// Runs the interleaved engine over `total` walk slots, writing the same
 /// walks the per-walk engine would produce to `out`.
 ///
 /// Blocks are disjoint slot ranges, so each output row is written by
-/// exactly one worker (same aliasing argument as the other engines). In
-/// sink mode a block is emitted only once it fully drains — writes land
-/// out of row order *within* a block as walks retire, which is why
-/// emission granularity is the block, not the walk.
+/// exactly one worker (same aliasing argument as the other engines);
+/// within a block, rows complete out of order as walks retire.
 pub(super) fn run(
     g: &TemporalGraph,
     cfg: &WalkConfig,
@@ -157,7 +153,7 @@ pub(super) fn run(
     par: &ParConfig,
     starts: StartSet<'_>,
     total: usize,
-    out: &Output<'_>,
+    out: Output,
 ) {
     // Same block floor as the batched engine: a ring cannot stay full on
     // a block smaller than itself, and tiny blocks cannot amortize the
@@ -167,20 +163,7 @@ pub(super) fn run(
     parallel_workers(&par, total, |queue| {
         let mut ring = Ring::new(cfg.ring.max(1));
         while let Some(block) = queue.next_chunk() {
-            out.with_block(block, cfg.max_length, |nodes_ptr, lengths_ptr, base| {
-                run_block(
-                    g,
-                    cfg,
-                    sampler,
-                    starts,
-                    block,
-                    &mut ring,
-                    nodes_ptr,
-                    lengths_ptr,
-                    base,
-                    &stats,
-                );
-            });
+            run_block(g, cfg, sampler, starts, block, &mut ring, out, &stats);
         }
     });
 }
@@ -232,17 +215,14 @@ fn run_block(
     starts: StartSet<'_>,
     (start, end): (usize, usize),
     r: &mut Ring,
-    nodes_ptr: usize,
-    lengths_ptr: usize,
-    base: usize,
+    out: Output,
     stats: &RingStats,
 ) {
-    let nodes = nodes_ptr as *mut NodeId;
-    let lengths = lengths_ptr as *mut u32;
+    let nodes = out.nodes as *mut NodeId;
+    let lengths = out.lengths as *mut u32;
     let nl = cfg.max_length;
     let stride = starts.stride();
-    let mut cur =
-        SeedCursor { next: start, end, w: start / stride, i: start % stride, stride, base };
+    let mut cur = SeedCursor { next: start, end, w: start / stride, i: start % stride, stride };
     let r = r.ptrs();
     let slots = r.slots;
 
@@ -319,7 +299,7 @@ fn run_block(
                     *r.curr_time.add(slot) = times[pick];
                     *r.first_hop.add(slot) = false;
                     let len = *r.written.add(slot) as usize;
-                    *nodes.add((idx - base) * nl + len) = next;
+                    *nodes.add(idx * nl + len) = next;
                     *r.written.add(slot) = (len + 1) as u32;
                     if len + 1 < nl {
                         g.prefetch_offsets(next);
@@ -329,7 +309,7 @@ fn run_block(
                     }
                 }
                 // Retire (dead end or length cap) and refill the slot.
-                *lengths.add(idx - base) = *r.written.add(slot);
+                *lengths.add(idx) = *r.written.add(slot);
                 if !seed_slot(&mut cur, &r, slot, starts, cfg, g, sampler, nodes, lengths) {
                     *r.walk.add(slot) = EMPTY;
                     live -= 1;
@@ -377,13 +357,12 @@ unsafe fn seed_slot(
             cur.i = 0;
             cur.w += 1;
         }
-        // SAFETY: `idx` lies in this worker's disjoint block (output row
-        // `idx - cur.base`, the Output contract) and `slot < r.slots`
-        // (caller contract).
+        // SAFETY: `idx` lies in this worker's disjoint block and
+        // `slot < r.slots` (caller contract).
         unsafe {
-            *nodes.add((idx - cur.base) * nl) = v;
+            *nodes.add(idx * nl) = v;
             if nl == 1 {
-                *lengths.add(idx - cur.base) = 1;
+                *lengths.add(idx) = 1;
                 continue;
             }
             *r.walk.add(slot) = idx;

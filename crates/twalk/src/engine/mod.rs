@@ -21,60 +21,22 @@
 //! ([`estimated_working_set`]) and the graph's mean degree — the proxy
 //! for how much reuse locality grouping can find.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use par::{parallel_chunks_shared, ParConfig};
 use tgraph::{NodeId, TemporalGraph, Time};
 
 use crate::sampler::{direct_linear, direct_softmax, PreparedSampler};
-use crate::sink::{WalkChunk, WalkSink};
 use crate::{TransitionSampler, WalkConfig, WalkEngine, WalkRng, WalkSet};
 
 pub mod batched;
 pub mod interleaved;
 
-/// Where a bulk run's walks go: the canonical `total × N` matrix, or a
-/// [`WalkSink`] receiving worker blocks as they finish. Engines address
-/// output rows as `global_index − base`, which the two destinations make
-/// coincide with the right buffer: the matrix hands out its global
-/// pointers with `base = 0`, the sink variant hands each block a fresh
-/// local buffer with `base = block start` and emits it afterwards. The
-/// sink path therefore also works for the interleaved engine, whose
-/// writes land out of row order *within* a block — emission waits for the
-/// whole block.
-pub(super) enum Output<'a> {
-    /// Preallocated full-run buffers (as raw addresses, so workers can
-    /// write their disjoint rows without aliasing a `&mut`).
-    Matrix { nodes: usize, lengths: usize },
-    /// Stream finished blocks to a sink; `hops` accumulates
-    /// `total_vertices − walks` across blocks for the post-hoc metrics.
-    Sink { sink: &'a dyn WalkSink, hops: &'a AtomicU64 },
-}
-
-impl Output<'_> {
-    /// Runs `f` with `(nodes_ptr, lengths_ptr, base)` for the block of
-    /// walk slots `start..end` — `f` must fully write rows
-    /// `(start − base)..(end − base)` of both buffers — then routes the
-    /// block to its destination.
-    fn with_block(
-        &self,
-        (start, end): (usize, usize),
-        nl: usize,
-        f: impl FnOnce(usize, usize, usize),
-    ) {
-        match *self {
-            Output::Matrix { nodes, lengths } => f(nodes, lengths, 0),
-            Output::Sink { sink, hops } => {
-                let walks = end - start;
-                let mut nodes = vec![0 as NodeId; walks * nl];
-                let mut lengths = vec![0u32; walks];
-                f(nodes.as_mut_ptr() as usize, lengths.as_mut_ptr() as usize, start);
-                let verts: u64 = lengths.iter().map(|&l| u64::from(l)).sum();
-                hops.fetch_add(verts - walks as u64, Ordering::Relaxed);
-                sink.emit(WalkChunk { start, max_length: nl, nodes, lengths });
-            }
-        }
-    }
+/// The bulk run's `total × N` output matrix and its `total` lengths, as
+/// raw addresses so workers can write their disjoint rows without
+/// aliasing a `&mut`. Walk slot `idx` owns row `idx` of both buffers.
+#[derive(Clone, Copy)]
+pub(super) struct Output {
+    pub(super) nodes: usize,
+    pub(super) lengths: usize,
 }
 
 /// How bulk-run walk slot indices map to `(walk number, start vertex)`
@@ -252,11 +214,13 @@ fn run_bulk(
         // relaxed bool load per bulk run.
         let rec = obs::Recorder::global();
         let t0 = rec.is_enabled().then(std::time::Instant::now);
-        let out = Output::Matrix {
-            nodes: nodes.as_mut_ptr() as usize,
-            lengths: lengths.as_mut_ptr() as usize,
-        };
-        dispatch(g, cfg, sampler, par, starts, total, &out);
+        let out =
+            Output { nodes: nodes.as_mut_ptr() as usize, lengths: lengths.as_mut_ptr() as usize };
+        match resolved_engine(g, cfg, sampler, total) {
+            WalkEngine::Batched => batched::run(g, cfg, sampler, par, starts, total, out),
+            WalkEngine::Interleaved => interleaved::run(g, cfg, sampler, par, starts, total, out),
+            _ => run_per_walk(g, cfg, sampler, par, starts, total, out),
+        }
         if let Some(t0) = t0 {
             let hops = lengths.iter().map(|&l| u64::from(l)).sum::<u64>() - total as u64;
             rec.histogram("twalk_run_ns").record_duration(t0.elapsed());
@@ -267,57 +231,10 @@ fn run_bulk(
     WalkSet::from_parts(nodes, lengths, nl).with_sampler_stats(sampler.stats())
 }
 
-/// Sink twin of [`run_bulk`]: same engine dispatch, blocks streamed to
-/// `sink` instead of assembled into a matrix.
-fn run_bulk_to_sink(
-    g: &TemporalGraph,
-    cfg: &WalkConfig,
-    sampler: &PreparedSampler,
-    par: &ParConfig,
-    starts: StartSet<'_>,
-    sink: &dyn WalkSink,
-) {
-    let total = starts.stride() * cfg.walks_per_node;
-    if total == 0 {
-        return;
-    }
-    let rec = obs::Recorder::global();
-    let t0 = rec.is_enabled().then(std::time::Instant::now);
-    // With no output matrix to derive hop counts from post hoc, blocks
-    // accumulate them here — one relaxed add per block, still nothing in
-    // the per-hop path.
-    let hops = AtomicU64::new(0);
-    let out = Output::Sink { sink, hops: &hops };
-    dispatch(g, cfg, sampler, par, starts, total, &out);
-    if let Some(t0) = t0 {
-        rec.histogram("twalk_run_ns").record_duration(t0.elapsed());
-        rec.counter("twalk_walks_total").add(total as u64);
-        rec.counter("twalk_hops_total").add(hops.load(Ordering::Relaxed));
-    }
-}
-
-/// Runs the engine [`resolved_engine`] picks over the start set, writing
-/// to `out`.
-fn dispatch(
-    g: &TemporalGraph,
-    cfg: &WalkConfig,
-    sampler: &PreparedSampler,
-    par: &ParConfig,
-    starts: StartSet<'_>,
-    total: usize,
-    out: &Output<'_>,
-) {
-    match resolved_engine(g, cfg, sampler, total) {
-        WalkEngine::Batched => batched::run(g, cfg, sampler, par, starts, total, out),
-        WalkEngine::Interleaved => interleaved::run(g, cfg, sampler, par, starts, total, out),
-        _ => run_per_walk(g, cfg, sampler, par, starts, total, out),
-    }
-}
-
 /// The classic engine: each walk runs to completion inside its chunk.
 ///
 /// Chunks are disjoint, so each output row is written by exactly one
-/// worker; in sink mode each chunk is its own emitted block.
+/// worker.
 fn run_per_walk(
     g: &TemporalGraph,
     cfg: &WalkConfig,
@@ -325,75 +242,34 @@ fn run_per_walk(
     par: &ParConfig,
     starts: StartSet<'_>,
     total: usize,
-    out: &Output<'_>,
+    out: Output,
 ) {
     let stride = starts.stride();
     let nl = cfg.max_length;
     parallel_chunks_shared(par, sampler, total, |sampler, start, end| {
-        out.with_block((start, end), nl, |nodes_ptr, lengths_ptr, base| {
-            // SAFETY: chunks are disjoint subranges of 0..total; each row
-            // of `nodes` and slot of `lengths` is written by exactly one
-            // worker, at `idx - base` (the Output contract).
-            let nodes = nodes_ptr as *mut NodeId;
-            let lengths = lengths_ptr as *mut u32;
-            // One division locates the chunk's (walk, start) position; the
-            // pair is then carried as counters so the hot loop runs
-            // division-free (idx / stride and idx % stride per iteration
-            // showed up on short-walk configs).
-            let mut w = start / stride;
-            let mut i = start % stride;
-            for idx in start..end {
-                let v = starts.vertex(i);
-                let mut rng = WalkRng::from_stream(cfg.seed, w as u64, v as u64);
-                let row =
-                    unsafe { std::slice::from_raw_parts_mut(nodes.add((idx - base) * nl), nl) };
-                let len = walk_into(g, sampler, cfg, v, &mut rng, row);
-                unsafe { *lengths.add(idx - base) = len as u32 };
-                i += 1;
-                if i == stride {
-                    i = 0;
-                    w += 1;
-                }
+        // SAFETY: chunks are disjoint subranges of 0..total; each row of
+        // `nodes` and slot of `lengths` is written by exactly one worker.
+        let nodes = out.nodes as *mut NodeId;
+        let lengths = out.lengths as *mut u32;
+        // One division locates the chunk's (walk, start) position; the
+        // pair is then carried as counters so the hot loop runs
+        // division-free (idx / stride and idx % stride per iteration
+        // showed up on short-walk configs).
+        let mut w = start / stride;
+        let mut i = start % stride;
+        for idx in start..end {
+            let v = starts.vertex(i);
+            let mut rng = WalkRng::from_stream(cfg.seed, w as u64, v as u64);
+            let row = unsafe { std::slice::from_raw_parts_mut(nodes.add(idx * nl), nl) };
+            let len = walk_into(g, sampler, cfg, v, &mut rng, row);
+            unsafe { *lengths.add(idx) = len as u32 };
+            i += 1;
+            if i == stride {
+                i = 0;
+                w += 1;
             }
-        });
+        }
     });
-}
-
-/// [`generate_walks`], streamed: walk blocks go to `sink` as workers
-/// finish them instead of being assembled into a [`WalkSet`], so peak
-/// memory is one in-flight block per worker rather than the full
-/// `K · N · |V|` corpus.
-///
-/// Chunk *content* is bit-identical to the matrix path (concatenating the
-/// chunks in [`crate::WalkChunk::start`] order reproduces the `WalkSet`
-/// exactly); chunk *arrival order* follows dynamic scheduling.
-///
-/// Prepares the sampler internally; callers that re-walk the same graph
-/// should prepare once and call [`generate_walks_prepared_to_sink`].
-pub fn generate_walks_to_sink(
-    g: &TemporalGraph,
-    cfg: &WalkConfig,
-    par: &ParConfig,
-    sink: &dyn WalkSink,
-) {
-    let prepared = cfg.sampler.prepare(g);
-    generate_walks_prepared_to_sink(g, cfg, &prepared, par, sink);
-}
-
-/// [`generate_walks_to_sink`] against an already-prepared sampler.
-///
-/// # Panics
-///
-/// Panics if `sampler` was prepared for a graph of a different shape.
-pub fn generate_walks_prepared_to_sink(
-    g: &TemporalGraph,
-    cfg: &WalkConfig,
-    sampler: &PreparedSampler,
-    par: &ParConfig,
-    sink: &dyn WalkSink,
-) {
-    assert!(sampler.matches_graph(g), "sampler was prepared for a different graph");
-    run_bulk_to_sink(g, cfg, sampler, par, StartSet::AllVertices(g.num_nodes()), sink);
 }
 
 /// Serial reference implementation of [`generate_walks`], used by tests and

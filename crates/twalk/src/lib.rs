@@ -69,7 +69,6 @@ pub mod engine;
 mod options;
 mod rng;
 pub mod sampler;
-mod sink;
 pub mod stats;
 mod walkset;
 
@@ -78,8 +77,8 @@ pub use config::{
 };
 pub use engine::{
     estimated_working_set, generate_walks, generate_walks_from, generate_walks_from_prepared,
-    generate_walks_prepared, generate_walks_prepared_to_sink, generate_walks_serial,
-    generate_walks_to_sink, resolved_engine, walk_from, INTERLEAVE_MAX_MEAN_DEGREE,
+    generate_walks_prepared, generate_walks_serial, resolved_engine, walk_from,
+    INTERLEAVE_MAX_MEAN_DEGREE,
 };
 pub use options::WalkOptions;
 pub use rng::WalkRng;
@@ -87,5 +86,4 @@ pub use sampler::{
     PreparedSampler, SamplerBuildStats, SamplerBuilder, SamplerTables, SamplingMethod,
     TransitionBias, VertexSampler, WeightedTables, DEFAULT_ALIAS_DEGREE,
 };
-pub use sink::{ChannelSink, CollectSink, WalkChunk, WalkSink};
 pub use walkset::{WalkIter, WalkSet, WalkSetBuilder};

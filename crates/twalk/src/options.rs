@@ -15,10 +15,9 @@ use par::ParConfig;
 use tgraph::{NodeId, TemporalGraph, Time};
 
 use crate::sampler::{PreparedSampler, SamplerBuilder, SamplingMethod, DEFAULT_ALIAS_DEGREE};
-use crate::sink::WalkSink;
 use crate::{
-    generate_walks_from_prepared, generate_walks_prepared, generate_walks_prepared_to_sink,
-    TransitionSampler, WalkConfig, WalkEngine, WalkSet,
+    generate_walks_from_prepared, generate_walks_prepared, TransitionSampler, WalkConfig,
+    WalkEngine, WalkSet,
 };
 
 /// Every knob of a bulk walk run, in one place.
@@ -253,18 +252,6 @@ impl WalkOptions {
     pub fn generate(&self, g: &TemporalGraph, par: &ParConfig) -> WalkSet {
         let prepared = self.prepare(g);
         generate_walks_prepared(g, &self.config(), &prepared, par)
-    }
-
-    /// Prepares and runs a full bulk generation streamed to `sink`
-    /// (chunked emission, [`crate::WalkChunk`]) instead of materializing
-    /// a [`WalkSet`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`WalkOptions::validate`] rejects the options.
-    pub fn generate_to_sink(&self, g: &TemporalGraph, par: &ParConfig, sink: &dyn WalkSink) {
-        let prepared = self.prepare(g);
-        generate_walks_prepared_to_sink(g, &self.config(), &prepared, par, sink);
     }
 
     /// Prepares and runs an incremental refresh from `sources` only.

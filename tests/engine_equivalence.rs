@@ -14,12 +14,11 @@
 //! forced-scalar pass) so engine identity is pinned on the scalar kernel
 //! fallbacks too.
 
-use par::{BoundedQueue, ParConfig};
+use par::ParConfig;
 use tgraph::{GraphBuilder, TemporalEdge, TemporalGraph};
 use twalk::{
-    generate_walks_from_prepared, generate_walks_prepared, generate_walks_prepared_to_sink,
-    ChannelSink, CollectSink, SamplerBuilder, SamplingMethod, TransitionSampler, WalkConfig,
-    WalkEngine, WalkSink,
+    generate_walks_from_prepared, generate_walks_prepared, SamplerBuilder, SamplingMethod,
+    TransitionSampler, WalkConfig, WalkEngine,
 };
 
 const SAMPLERS: [TransitionSampler; 4] = [
@@ -231,87 +230,6 @@ fn engines_agree_on_static_mode_and_start_time() {
                 );
             }
         }
-    }
-}
-
-/// The streamed-emission contract: chunks emitted through a [`WalkSink`]
-/// and concatenated in `start` order must be **bit-identical** to the
-/// materialized `WalkSet` of the same configuration — across all three
-/// engines × the forced per-vertex sampling methods (cdf / alias /
-/// rejection tables all drawing the softmax distribution) × thread and
-/// chunk-size grids.
-#[test]
-fn streamed_chunks_reassemble_bit_identical_to_walkset() {
-    let sampler = TransitionSampler::Softmax;
-    for (name, g) in graphs() {
-        for method in [SamplingMethod::Cdf, SamplingMethod::Alias, SamplingMethod::Rejection] {
-            let prepared = SamplerBuilder::new(sampler).method(method).build(&g);
-            let cfg = WalkConfig::new(4, 7).sampler(sampler).seed(29);
-            let reference = generate_walks_prepared(
-                &g,
-                &cfg.engine(WalkEngine::PerWalk),
-                &prepared,
-                &ParConfig::with_threads(1),
-            );
-            for engine in [WalkEngine::PerWalk, WalkEngine::Batched, WalkEngine::Interleaved] {
-                for (threads, chunk) in [(1usize, 13usize), (4, 64), (8, 256)] {
-                    let par = ParConfig::with_threads(threads).chunk_size(chunk);
-                    let sink = CollectSink::new();
-                    generate_walks_prepared_to_sink(
-                        &g,
-                        &cfg.engine(engine),
-                        &prepared,
-                        &par,
-                        &sink,
-                    );
-                    assert_eq!(
-                        sink.into_walkset(),
-                        reference,
-                        "streamed {engine} diverged on {name} with {method}, \
-                         {threads} threads, chunk {chunk}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Same contract through the production path: chunks crossing the
-/// bounded channel under backpressure (tiny capacity) and concurrent
-/// consumer churn still reassemble to the exact walk set.
-#[test]
-fn channel_streamed_chunks_survive_backpressure_and_concurrency() {
-    let g = tgraph::gen::preferential_attachment(400, 3, 7).undirected(true).build();
-    let sampler = TransitionSampler::Softmax;
-    let prepared = sampler.prepare(&g);
-    let cfg = WalkConfig::new(4, 7).sampler(sampler).seed(29);
-    let reference = generate_walks_prepared(
-        &g,
-        &cfg.engine(WalkEngine::PerWalk),
-        &prepared,
-        &ParConfig::with_threads(1),
-    );
-    for engine in [WalkEngine::PerWalk, WalkEngine::Batched, WalkEngine::Interleaved] {
-        let queue = BoundedQueue::new(2); // tiny: forces producer stalls
-        let collected = CollectSink::new();
-        std::thread::scope(|s| {
-            let guard = queue.register_producer();
-            let producer = s.spawn(|| {
-                let _guard = guard;
-                let sink = ChannelSink::new(&queue);
-                let par = ParConfig::with_threads(4).chunk_size(64);
-                generate_walks_prepared_to_sink(&g, &cfg.engine(engine), &prepared, &par, &sink);
-            });
-            for _ in 0..4 {
-                s.spawn(|| {
-                    while let Some(chunk) = queue.pop() {
-                        collected.emit(chunk);
-                    }
-                });
-            }
-            producer.join().unwrap();
-        });
-        assert_eq!(collected.into_walkset(), reference, "channel path diverged for {engine}");
     }
 }
 
