@@ -9,7 +9,8 @@
 //! dim 128 alone is a large-d regression in the window kernel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use embed::{train_batched, Layout, Reduction, Word2VecConfig};
+use embed::ablation::{train_batched, train_locked, Layout, Reduction};
+use embed::Word2VecConfig;
 use par::ParConfig;
 use std::hint::black_box;
 use std::time::Instant;
@@ -29,7 +30,9 @@ fn bench_batch_size(c: &mut Criterion) {
     group.sample_size(10);
     for bs in [1usize, 256, 4_096, 16_384] {
         group.bench_with_input(BenchmarkId::from_parameter(bs), &bs, |b, &bs| {
-            b.iter(|| black_box(train_batched(&walks, n, &cfg, &par, bs)));
+            b.iter(|| {
+                black_box(train_batched(&walks, n, &cfg, &par, bs, Layout::Packed, Reduction::Simd))
+            });
         });
     }
     group.finish();
@@ -47,9 +50,10 @@ fn bench_layout_reduction(c: &mut Criterion) {
         ("packed_simd", Layout::Packed, Reduction::Simd),
     ] {
         group.bench_function(name, |b| {
-            let cfg =
-                Word2VecConfig::default().epochs(1).seed(3).layout(layout).reduction(reduction);
-            b.iter(|| black_box(train_batched(&walks, n, &cfg, &par, usize::MAX)));
+            let cfg = Word2VecConfig::default().epochs(1).seed(3);
+            b.iter(|| {
+                black_box(train_batched(&walks, n, &cfg, &par, usize::MAX, layout, reduction))
+            });
         });
     }
     group.finish();
@@ -63,7 +67,7 @@ fn bench_dim(c: &mut Criterion) {
     for dim in [2usize, 8, 32, 128] {
         group.bench_with_input(BenchmarkId::from_parameter(dim), &dim, |b, &dim| {
             let cfg = Word2VecConfig::default().dim(dim).epochs(1).seed(4);
-            b.iter(|| black_box(train_batched(&walks, n, &cfg, &par, usize::MAX)));
+            b.iter(|| black_box(embed::train(&walks, n, &cfg, &par)));
         });
     }
     group.finish();
@@ -81,7 +85,7 @@ fn bench_hogwild(c: &mut Criterion) {
     for dim in [8usize, 128] {
         group.bench_with_input(BenchmarkId::from_parameter(dim), &dim, |b, &dim| {
             let cfg = Word2VecConfig::default().dim(dim).epochs(1).seed(6);
-            b.iter(|| black_box(train_batched(&walks, n, &cfg, &par, usize::MAX)));
+            b.iter(|| black_box(embed::train(&walks, n, &cfg, &par)));
         });
     }
     group.finish();
@@ -95,11 +99,9 @@ fn bench_locking(c: &mut Criterion) {
     let cfg = Word2VecConfig::default().epochs(1).seed(5);
     let mut group = c.benchmark_group("w2v/locking");
     group.sample_size(10);
-    group.bench_function("hogwild", |b| {
-        b.iter(|| black_box(train_batched(&walks, n, &cfg, &par, usize::MAX)))
-    });
+    group.bench_function("hogwild", |b| b.iter(|| black_box(embed::train(&walks, n, &cfg, &par))));
     group.bench_function("global_lock", |b| {
-        b.iter(|| black_box(embed::train_locked(&walks, n, &cfg, &par)))
+        b.iter(|| black_box(train_locked(&walks, n, &cfg, &par)))
     });
     group.finish();
 }

@@ -12,7 +12,8 @@
 //! The quality column confirms the paper's "without accuracy loss": the
 //! embedding separation of planted communities is unchanged by batching.
 
-use embed::{train_batched, Word2VecConfig};
+use embed::ablation::{train_batched, Layout, Reduction};
+use embed::Word2VecConfig;
 use par::ParConfig;
 use perfmodel::profile::{profile_word2vec, ProfileOptions};
 use perfmodel::GpuModel;
@@ -65,8 +66,9 @@ fn main() {
     let batch_sizes = [1usize, 16, 256, 1_024, 4_096, 16_384];
     let mut rows = Vec::new();
     for &bs in &batch_sizes {
-        let ((emb, stats), cpu_time) =
-            rwalk_bench::time_it(|| train_batched(&walks, n, &cfg, &par, bs));
+        let ((emb, stats), cpu_time) = rwalk_bench::time_it(|| {
+            train_batched(&walks, n, &cfg, &par, bs, Layout::Packed, Reduction::Simd)
+        });
         let est = gpu.estimate_profile(
             &profile,
             profile.work_scale(),

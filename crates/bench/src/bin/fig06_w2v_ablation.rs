@@ -12,7 +12,8 @@
 //! Each row reports measured CPU time and embedding quality, confirming
 //! the optimizations are loss-free.
 
-use embed::{train_batched, Layout, Reduction, Word2VecConfig};
+use embed::ablation::{train_batched, Layout, Reduction};
+use embed::Word2VecConfig;
 use par::ParConfig;
 use perfmodel::profile::{profile_word2vec, ProfileOptions};
 use perfmodel::GpuModel;
@@ -116,9 +117,10 @@ fn main() {
     let mut base = None;
     let mut gpu_base = None;
     for v in &variants {
-        let cfg =
-            Word2VecConfig::default().epochs(4).seed(7).layout(v.layout).reduction(v.reduction);
-        let ((emb, _), t) = rwalk_bench::time_it(|| train_batched(&walks, n, &cfg, &par, v.batch));
+        let cfg = Word2VecConfig::default().epochs(4).seed(7);
+        let ((emb, _), t) = rwalk_bench::time_it(|| {
+            train_batched(&walks, n, &cfg, &par, v.batch, v.layout, v.reduction)
+        });
         let secs = t.as_secs_f64();
         let base_secs = *base.get_or_insert(secs);
         let g_secs = gpu_time(v, 4);

@@ -1,35 +1,4 @@
-//! word2vec configuration and ablation knobs.
-
-/// Embedding-row storage layout (paper Fig. 6 "No-pad" ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Layout {
-    /// Rows padded to a 64-byte cache line (16 `f32`s) — the layout a prior
-    /// GPU implementation used to avoid false sharing. Wasteful when
-    /// `d = 8` occupies half a line.
-    Padded,
-    /// Rows packed back-to-back — the paper's optimized layout.
-    #[default]
-    Packed,
-}
-
-/// Inner-product / accumulation strategy (paper Fig. 6 "Coalesce" and
-/// "Par-red" ablations, mapped onto CPU SIMD-friendly loop shapes).
-/// `Scalar` and `Chunked` run word2vec's per-pair loop; `Simd` runs the
-/// window-batched step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Reduction {
-    /// Straightforward scalar loop over per-element atomics.
-    Scalar,
-    /// 4-lane unrolled loops (coalesced access + parallel reduction
-    /// analog), which the compiler vectorizes.
-    Chunked,
-    /// The window-batched step: negatives drawn once per center and
-    /// shared by its whole window, with scores and updates in one
-    /// `simd::sgns_window` call (AVX2/FMA with runtime dispatch, scalar
-    /// fallback elsewhere) — see DESIGN.md §10.
-    #[default]
-    Simd,
-}
+//! word2vec configuration.
 
 /// Hyperparameters of the skip-gram-with-negative-sampling trainer.
 ///
@@ -61,10 +30,6 @@ pub struct Word2VecConfig {
     pub min_lr: f32,
     /// RNG seed.
     pub seed: u64,
-    /// Embedding storage layout.
-    pub layout: Layout,
-    /// Dot-product/accumulation strategy.
-    pub reduction: Reduction,
 }
 
 impl Word2VecConfig {
@@ -98,28 +63,6 @@ impl Word2VecConfig {
         self.seed = seed;
         self
     }
-
-    /// Sets the storage layout ablation knob.
-    #[must_use]
-    pub fn layout(mut self, layout: Layout) -> Self {
-        self.layout = layout;
-        self
-    }
-
-    /// Sets the reduction-strategy ablation knob.
-    #[must_use]
-    pub fn reduction(mut self, reduction: Reduction) -> Self {
-        self.reduction = reduction;
-        self
-    }
-
-    /// Row stride in floats implied by the layout.
-    pub fn stride(&self) -> usize {
-        match self.layout {
-            Layout::Packed => self.dim,
-            Layout::Padded => self.dim.div_ceil(16) * 16,
-        }
-    }
 }
 
 impl Default for Word2VecConfig {
@@ -132,8 +75,6 @@ impl Default for Word2VecConfig {
             initial_lr: 0.05,
             min_lr: 0.0001,
             seed: 0,
-            layout: Layout::default(),
-            reduction: Reduction::default(),
         }
     }
 }
@@ -141,16 +82,6 @@ impl Default for Word2VecConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stride_depends_on_layout() {
-        let packed = Word2VecConfig::default().dim(8);
-        assert_eq!(packed.stride(), 8);
-        let padded = Word2VecConfig::default().dim(8).layout(Layout::Padded);
-        assert_eq!(padded.stride(), 16);
-        let wide = Word2VecConfig::default().dim(20).layout(Layout::Padded);
-        assert_eq!(wide.stride(), 32);
-    }
 
     #[test]
     #[should_panic(expected = "dimension must be positive")]

@@ -3,24 +3,15 @@
 //! The paper feeds temporally-valid random walks — a corpus of very short
 //! "sentences" of vertex ids — into word2vec's skip-gram model with
 //! negative sampling (SGNS) to produce `d`-dimensional node embeddings.
-//! This crate implements SGNS from scratch with the exact optimization
-//! knobs the paper studies:
-//!
-//! * **Sentence batching** ([`train_batched`]) — the paper's key GPU
-//!   word2vec optimization (Fig. 5): sentences within a batch are processed
-//!   concurrently against a shared, racily-updated ("hogwild") model.
-//!   Because updates are sparse, staleness does not measurably hurt
-//!   accuracy, while parallelism and launch-overhead amortization improve
-//!   throughput by orders of magnitude.
-//! * **Storage layout** ([`Layout`]) — cache-line padded vs packed
-//!   embedding rows (the paper's "No-pad" ablation, Fig. 6): with the tiny
-//!   optimal dimension `d = 8`, padding wastes most of each cache line.
-//! * **Reduction strategy** ([`Reduction`]) — scalar vs unrolled/chunked
-//!   dot products and accumulations (the paper's "Coalesce"/"Par-red"
-//!   ablations, Fig. 6), and the default window-batched step: each center's
-//!   negatives are shared by its whole window, so the scattered per-pair
-//!   row updates become dense `B × S` blocks (the paper's Figs. 5–6
-//!   batching idea, pWord2Vec's level-3 form).
+//! This crate implements SGNS from scratch. [`train`] (and its warm-start
+//! twin [`train_from`]) runs hogwild: every epoch is one parallel region
+//! whose sentences update a shared, racily-updated model, and each
+//! center is one window-batched step — its negatives are drawn once and
+//! shared by its whole window, so the scattered per-pair row updates
+//! become dense `B × S` blocks (pWord2Vec's level-3 form of the paper's
+//! Figs. 5–6 batching idea). The paper's own optimization knobs —
+//! sentence batching, padded vs packed rows, scalar vs unrolled
+//! reductions, and a global-lock baseline — live in [`ablation`].
 //!
 //! # Examples
 //!
@@ -37,6 +28,7 @@
 //! assert_eq!(emb.num_nodes(), 120);
 //! ```
 
+pub mod ablation;
 mod config;
 mod embedding;
 pub mod io;
@@ -44,8 +36,8 @@ mod model;
 mod table;
 mod train;
 
-pub use config::{Layout, Reduction, Word2VecConfig};
+pub use config::Word2VecConfig;
 pub use embedding::EmbeddingMatrix;
 pub use model::SharedMatrix;
 pub use table::{NegativeTable, SigmoidTable};
-pub use train::{train, train_batched, train_from, train_locked, BatchRunStats, SentenceSource};
+pub use train::{train, train_from};

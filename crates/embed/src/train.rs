@@ -1,4 +1,4 @@
-//! The SGNS trainer: sequential, hogwild-parallel, and sentence-batched.
+//! The SGNS trainer: hogwild-parallel window-batched skip-gram.
 
 // Indexed loops over parallel arrays are the intended idiom here.
 #![allow(clippy::needless_range_loop)]
@@ -6,77 +6,16 @@
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use par::{parallel_chunks, ParConfig};
 use twalk::{WalkRng, WalkSet};
 
-use crate::{
-    EmbeddingMatrix, NegativeTable, Reduction, SharedMatrix, SigmoidTable, Word2VecConfig,
-};
+use crate::{EmbeddingMatrix, NegativeTable, SharedMatrix, SigmoidTable, Word2VecConfig};
 
-/// A corpus of vertex-id sentences the trainer can index.
-///
-/// The batch trainer only ever asks three things of its corpus: how many
-/// sentences, the tokens of sentence `i`, and the token total for the
-/// learning-rate schedule. Abstracting them lets the same inner loop run
-/// over a materialized [`WalkSet`] (the trivial impl every public `train*`
-/// entry point uses — behavior-identical to indexing the set directly) or
-/// any other random-access sentence store.
-pub trait SentenceSource {
-    /// Number of sentences in the corpus.
-    fn num_sentences(&self) -> usize;
-
-    /// The `i`-th sentence as a token slice (`i < num_sentences()`).
-    fn sentence(&self, i: usize) -> &[tgraph::NodeId];
-
-    /// Total token occurrences across all sentences.
-    fn total_tokens(&self) -> usize;
-}
-
-impl SentenceSource for WalkSet {
-    fn num_sentences(&self) -> usize {
-        self.num_walks()
-    }
-
-    fn sentence(&self, i: usize) -> &[tgraph::NodeId] {
-        self.walk(i)
-    }
-
-    fn total_tokens(&self) -> usize {
-        self.total_vertices()
-    }
-}
-
-/// Per-vertex token counts of a corpus — the [`NegativeTable`] input.
-///
-/// # Panics
-///
-/// Panics if any token is `>= num_nodes`.
-pub(crate) fn token_counts<S: SentenceSource + ?Sized>(corpus: &S, num_nodes: usize) -> Vec<u64> {
-    let mut counts = vec![0u64; num_nodes];
-    for i in 0..corpus.num_sentences() {
-        for &v in corpus.sentence(i) {
-            counts[v as usize] += 1;
-        }
-    }
-    counts
-}
-
-/// Throughput accounting for a batched run (feeds the Fig. 5 study, where
-/// each batch corresponds to one GPU kernel launch).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchRunStats {
-    /// Number of sentence batches processed (= modeled kernel launches).
-    pub batches: usize,
-    /// Total tokens consumed across all epochs.
-    pub tokens: usize,
-    /// Wall-clock training time.
-    pub duration: Duration,
-}
-
-/// Trains embeddings over the whole corpus with hogwild parallelism —
-/// equivalent to [`train_batched`] with one batch per epoch.
+/// Trains embeddings over the whole corpus with hogwild parallelism:
+/// each epoch is one parallel region whose sentences update the shared
+/// model concurrently.
 ///
 /// # Panics
 ///
@@ -99,39 +38,14 @@ pub fn train(
     cfg: &Word2VecConfig,
     par: &ParConfig,
 ) -> EmbeddingMatrix {
-    run_training(corpus, num_nodes, cfg, par, usize::MAX, None, false).0
-}
-
-/// Trains embeddings processing sentences in batches of `batch_size`:
-/// batches run one after another (each models a GPU kernel launch), and
-/// sentences *within* a batch update the shared model concurrently —
-/// the paper's §V-B batching optimization.
-///
-/// `batch_size = 1` reproduces the unbatched baseline (one "launch" per
-/// sentence, no intra-batch parallelism); `usize::MAX` processes each epoch
-/// as a single batch.
-///
-/// # Panics
-///
-/// Panics if the corpus is empty, `batch_size == 0`, or any token is out of
-/// range for `num_nodes`.
-pub fn train_batched(
-    corpus: &WalkSet,
-    num_nodes: usize,
-    cfg: &Word2VecConfig,
-    par: &ParConfig,
-    batch_size: usize,
-) -> (EmbeddingMatrix, BatchRunStats) {
-    run_training(corpus, num_nodes, cfg, par, batch_size, None, false)
+    run_training(corpus, num_nodes, cfg, par, &Plan::production(cfg), None).0
 }
 
 /// Continues training from existing embeddings (warm start) — the
 /// incremental-refresh primitive. `initial` seeds the input vectors;
 /// vertices beyond `initial.num_nodes()` (new arrivals) get fresh random
 /// init. The output-side (`syn1`) context vectors restart from zero, a
-/// standard approximation for incremental SGNS. The warm-start copy goes
-/// through [`SharedMatrix::write_row`], so it lands correctly for every
-/// [`crate::Layout`] / stride the config selects.
+/// standard approximation for incremental SGNS.
 ///
 /// # Panics
 ///
@@ -144,43 +58,58 @@ pub fn train_from(
     cfg: &Word2VecConfig,
     par: &ParConfig,
 ) -> EmbeddingMatrix {
-    run_training(corpus, num_nodes, cfg, par, usize::MAX, Some(initial), false).0
+    run_training(corpus, num_nodes, cfg, par, &Plan::production(cfg), Some(initial)).0
 }
 
-/// Coarse-lock ablation baseline for hogwild: identical updates, but a
-/// single global mutex serializes every sentence's model access. Exists to
-/// quantify what lock-free staleness-tolerant updates buy (the design
-/// choice behind the paper's batching optimization); see the
-/// `bench_w2v` `locking` group.
-///
-/// # Panics
-///
-/// Panics if the corpus is empty or any token is out of range.
-pub fn train_locked(
+/// One skip-gram pass over a sentence, in [`train_sentence`]'s shape:
+/// returns `(gradient_steps, negative_table_draws)`.
+pub(crate) type SentenceStep = fn(
+    &[tgraph::NodeId],
+    &SharedMatrix,
+    &SharedMatrix,
+    &NegativeTable,
+    &SigmoidTable,
+    &Word2VecConfig,
+    f32,
+    &mut WalkRng,
+) -> (u64, u64);
+
+/// How the shared driver runs: fixed by [`train`] and [`train_from`],
+/// varied by the Fig. 5/6 ablations in [`crate::ablation`].
+pub(crate) struct Plan {
+    /// Sentences per batch; batches run one after another, and the
+    /// sentences within one update the model concurrently.
+    pub batch_size: usize,
+    /// Row stride of the model matrices, in floats.
+    pub stride: usize,
+    /// Serializes every sentence behind one global mutex.
+    pub lock: bool,
+    /// The per-sentence step.
+    pub step: SentenceStep,
+}
+
+impl Plan {
+    /// One batch per epoch, packed rows, lock-free window-batched steps.
+    fn production(cfg: &Word2VecConfig) -> Self {
+        Self { batch_size: usize::MAX, stride: cfg.dim, lock: false, step: train_sentence }
+    }
+}
+
+/// The one shared training driver: validates inputs, builds the model
+/// matrices / negative table / sigmoid table / decayed-lr accounting
+/// exactly once, optionally seeds a warm start, and runs the epoch ×
+/// batch loop as `plan` says. Returns the input embeddings and the
+/// number of batches run.
+pub(crate) fn run_training(
     corpus: &WalkSet,
     num_nodes: usize,
     cfg: &Word2VecConfig,
     par: &ParConfig,
-) -> EmbeddingMatrix {
-    run_training(corpus, num_nodes, cfg, par, usize::MAX, None, true).0
-}
-
-/// The one shared training driver behind every public entry point:
-/// validates inputs, builds the model matrices / negative table / sigmoid
-/// table / decayed-lr accounting exactly once, optionally seeds a warm
-/// start, and runs the epoch × batch loop (optionally serialized by a
-/// global mutex for the locking ablation).
-fn run_training<S: SentenceSource + Sync>(
-    corpus: &S,
-    num_nodes: usize,
-    cfg: &Word2VecConfig,
-    par: &ParConfig,
-    batch_size: usize,
+    plan: &Plan,
     warm_start: Option<&EmbeddingMatrix>,
-    serialize: bool,
-) -> (EmbeddingMatrix, BatchRunStats) {
-    assert!(batch_size > 0, "batch size must be positive");
-    let n_sentences = corpus.num_sentences();
+) -> (EmbeddingMatrix, usize) {
+    assert!(plan.batch_size > 0, "batch size must be positive");
+    let n_sentences = corpus.num_walks();
     assert!(n_sentences > 0, "empty corpus");
     if let Some(initial) = warm_start {
         assert_eq!(cfg.dim, initial.dim(), "dimension mismatch with initial embeddings");
@@ -189,27 +118,20 @@ fn run_training<S: SentenceSource + Sync>(
             "node count shrank below the initial embedding table"
         );
     }
-    let total_tokens = corpus.total_tokens() * cfg.epochs;
+    let total_tokens = corpus.total_vertices() * cfg.epochs;
 
-    let stride = cfg.stride();
-    let syn0 = SharedMatrix::uniform_init(num_nodes, cfg.dim, stride, cfg.seed);
+    let syn0 = SharedMatrix::uniform_init(num_nodes, cfg.dim, plan.stride, cfg.seed);
     if let Some(initial) = warm_start {
-        // Per-row copy through write_row honors the configured stride, so
-        // Padded layouts seed exactly like Packed ones.
         for v in 0..initial.num_nodes() {
             syn0.write_row(v, initial.get(v as tgraph::NodeId));
         }
     }
-    let syn1 = SharedMatrix::zeros(num_nodes, cfg.dim, stride);
-    // Same construction `NegativeTable::from_corpus` performs, routed
-    // through the source abstraction: count, then quantize.
-    let table = NegativeTable::from_counts(
-        &token_counts(corpus, num_nodes),
-        NegativeTable::recommended_size(num_nodes),
-    );
+    let syn1 = SharedMatrix::zeros(num_nodes, cfg.dim, plan.stride);
+    let table =
+        NegativeTable::from_corpus(corpus, num_nodes, NegativeTable::recommended_size(num_nodes));
     let sigmoid = SigmoidTable::default();
     let processed = AtomicU64::new(0);
-    let lock = serialize.then(|| Mutex::new(()));
+    let lock = plan.lock.then(|| Mutex::new(()));
 
     // Observability (RW-P2): per-epoch wall time plus exact gradient-step
     // and negative-draw totals. The counts are tallied in plain per-chunk
@@ -223,13 +145,12 @@ fn run_training<S: SentenceSource + Sync>(
     let steps_ctr = rec.counter("embed_grad_steps_total");
     let draws_ctr = rec.counter("embed_negative_draws_total");
 
-    let start = Instant::now();
     let mut batches = 0usize;
     for epoch in 0..cfg.epochs {
         let epoch_t0 = rec.is_enabled().then(Instant::now);
         let mut lo = 0usize;
         while lo < n_sentences {
-            let hi = lo.saturating_add(batch_size).min(n_sentences);
+            let hi = lo.saturating_add(plan.batch_size).min(n_sentences);
             batches += 1;
             let batch_len = hi - lo;
             // Within a batch: concurrent (stale-read tolerant) updates.
@@ -239,17 +160,16 @@ fn run_training<S: SentenceSource + Sync>(
                 // The lr clock advances once per chunk; each sentence's
                 // position is the chunk's base plus a local offset, which
                 // on one thread is exactly the per-sentence schedule.
-                let chunk_tokens: usize =
-                    (lo + cs..lo + ce).map(|s| corpus.sentence(s).len()).sum();
+                let chunk_tokens: usize = (lo + cs..lo + ce).map(|s| corpus.walk(s).len()).sum();
                 let mut done = processed.fetch_add(chunk_tokens as u64, Ordering::Relaxed);
                 for s in lo + cs..lo + ce {
-                    let walk = corpus.sentence(s);
+                    let walk = corpus.walk(s);
                     let lr = lr_at(cfg, done, total_tokens);
                     done += walk.len() as u64;
                     let mut rng = WalkRng::from_stream(cfg.seed, epoch as u64, s as u64);
                     let _guard = lock.as_ref().map(|l| l.lock().expect("word2vec worker panicked"));
                     let (steps, draws) =
-                        train_sentence(walk, &syn0, &syn1, &table, &sigmoid, cfg, lr, &mut rng);
+                        (plan.step)(walk, &syn0, &syn1, &table, &sigmoid, cfg, lr, &mut rng);
                     chunk_steps += steps;
                     chunk_draws += draws;
                 }
@@ -260,12 +180,11 @@ fn run_training<S: SentenceSource + Sync>(
         }
         if let Some(t0) = epoch_t0 {
             epoch_hist.record_duration(t0.elapsed());
-            tokens_ctr.add(corpus.total_tokens() as u64);
+            tokens_ctr.add(corpus.total_vertices() as u64);
         }
     }
 
-    let stats = BatchRunStats { batches, tokens: total_tokens, duration: start.elapsed() };
-    (EmbeddingMatrix::from_vec(num_nodes, cfg.dim, syn0.to_dense()), stats)
+    (EmbeddingMatrix::from_vec(num_nodes, cfg.dim, syn0.to_dense()), batches)
 }
 
 /// word2vec's learning rate after `done` of `total` tokens: linear decay
@@ -287,8 +206,6 @@ struct Scratch {
     inp: Vec<f32>,
     /// Gathered `syn1` rows of `tgt` (S × dim), then their updates `ΔOut`.
     out: Vec<f32>,
-    /// [`pair_steps`]' error accumulator (dim).
-    delta: Vec<f32>,
 }
 
 thread_local! {
@@ -297,19 +214,15 @@ thread_local! {
 
 /// One skip-gram pass over a sentence: for every center position, each
 /// in-window context word is pushed toward the center and away from
-/// `negatives` sampled vertices.
-///
-/// Under [`Reduction::Simd`] (the default) each center is one
-/// window-batched step ([`window_step`]): the negatives are drawn once per
-/// center and shared by every context word in its window. The `Scalar`
-/// and `Chunked` ablations keep word2vec's per-pair loop, drawing fresh
-/// negatives for every context word.
+/// `negatives` sampled vertices. Each center is one window-batched step
+/// ([`window_step`]): the negatives are drawn once per center and shared
+/// by every context word in its window.
 ///
 /// Returns `(gradient_steps, negative_table_draws)` for throughput
 /// accounting: a step is one (context, target) score; a draw is one
 /// negative-table lookup (once per center on the window-batched step).
 #[allow(clippy::too_many_arguments)]
-fn train_sentence(
+pub(crate) fn train_sentence(
     walk: &[tgraph::NodeId],
     syn0: &SharedMatrix,
     syn1: &SharedMatrix,
@@ -332,12 +245,6 @@ fn train_sentence(
             s.ctx.clear();
             s.ctx.extend((lo..=hi).filter(|&j| j != i).map(|j| walk[j] as usize));
             if s.ctx.is_empty() {
-                continue;
-            }
-            if cfg.reduction != Reduction::Simd {
-                let (st, dr) = pair_steps(center, syn0, syn1, table, sigmoid, cfg, lr, rng, s);
-                steps += st;
-                draws += dr;
                 continue;
             }
             s.tgt.clear();
@@ -392,69 +299,14 @@ fn window_step(
     (nb * ns) as u64
 }
 
-/// word2vec's per-pair loop over one center's window, kept as the
-/// `Scalar` / `Chunked` reduction ablation (paper Fig. 6): every context
-/// word in `s.ctx` draws its own negatives and updates each target row
-/// before the next target is scored.
-#[allow(clippy::too_many_arguments)]
-fn pair_steps(
-    center: usize,
-    syn0: &SharedMatrix,
-    syn1: &SharedMatrix,
-    table: &NegativeTable,
-    sigmoid: &SigmoidTable,
-    cfg: &Word2VecConfig,
-    lr: f32,
-    rng: &mut WalkRng,
-    s: &mut Scratch,
-) -> (u64, u64) {
-    let dim = cfg.dim;
-    let mut steps = 0u64;
-    let mut draws = 0u64;
-    s.inp.resize(dim, 0.0);
-    s.out.resize(dim, 0.0);
-    s.delta.resize(dim, 0.0);
-    let (h, tmp, e) = (&mut s.inp[..dim], &mut s.out[..dim], &mut s.delta[..dim]);
-    for &input in &s.ctx {
-        syn0.read_row(input, h);
-        e.fill(0.0);
-        for k in 0..=cfg.negatives {
-            let (target, label) = if k == 0 {
-                (center, 1.0f32)
-            } else {
-                draws += 1;
-                let t = table.sample(rng) as usize;
-                if t == center {
-                    continue;
-                }
-                (t, 0.0)
-            };
-            steps += 1;
-            let f = match cfg.reduction {
-                Reduction::Scalar => syn1.dot_scalar(target, h),
-                _ => syn1.dot_chunked(target, h),
-            };
-            let g = (label - sigmoid.get(f)) * lr;
-            syn1.read_row(target, tmp);
-            for (ev, &tv) in e.iter_mut().zip(tmp.iter()) {
-                *ev += g * tv;
-            }
-            syn1.add_scaled(target, g, h);
-        }
-        syn0.add_scaled(input, 1.0, e);
-    }
-    (steps, draws)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::Layout;
     use par::ParConfig;
 
     /// Builds a corpus of two disjoint token "communities" that co-occur
     /// only internally.
-    fn two_community_corpus() -> (WalkSet, usize) {
+    pub(crate) fn two_community_corpus() -> (WalkSet, usize) {
         let mut walks = Vec::new();
         for rep in 0..60u32 {
             let a = rep % 5;
@@ -464,7 +316,7 @@ mod tests {
         (WalkSet::from_walks(&walks, 4), 10)
     }
 
-    fn mean_intra_inter(emb: &EmbeddingMatrix) -> (f32, f32) {
+    pub(crate) fn mean_intra_inter(emb: &EmbeddingMatrix) -> (f32, f32) {
         let mut intra = Vec::new();
         let mut inter = Vec::new();
         for a in 0..10u32 {
@@ -504,43 +356,14 @@ mod tests {
         );
     }
 
-    #[test]
-    fn batched_and_unbatched_have_same_token_accounting() {
-        let (corpus, n) = two_community_corpus();
-        let cfg = Word2VecConfig::default().epochs(2).seed(3);
-        let par = ParConfig::with_threads(2);
-        let (_e1, s1) = train_batched(&corpus, n, &cfg, &par, 7);
-        let (_e2, s2) = train_batched(&corpus, n, &cfg, &par, usize::MAX);
-        assert_eq!(s1.tokens, s2.tokens);
-        assert_eq!(s2.batches, 2); // one per epoch
-        assert_eq!(s1.batches, 2 * corpus.num_walks().div_ceil(7));
-    }
-
-    #[test]
-    fn layout_and_reduction_variants_learn_equally() {
-        let (corpus, n) = two_community_corpus();
-        for layout in [Layout::Packed, Layout::Padded] {
-            for reduction in [Reduction::Scalar, Reduction::Chunked, Reduction::Simd] {
-                let cfg =
-                    Word2VecConfig::default().epochs(6).seed(4).layout(layout).reduction(reduction);
-                let emb = train(&corpus, n, &cfg, &ParConfig::with_threads(1));
-                let (intra, inter) = mean_intra_inter(&emb);
-                assert!(intra > inter, "{layout:?}/{reduction:?}: intra {intra} <= inter {inter}");
-            }
-        }
-    }
-
     /// `train` on one thread with the lr clock advanced once per sentence,
     /// in corpus order.
     fn per_sentence_schedule(corpus: &WalkSet, n: usize, cfg: &Word2VecConfig) -> EmbeddingMatrix {
-        let syn0 = SharedMatrix::uniform_init(n, cfg.dim, cfg.stride(), cfg.seed);
-        let syn1 = SharedMatrix::zeros(n, cfg.dim, cfg.stride());
-        let table = NegativeTable::from_counts(
-            &token_counts(corpus, n),
-            NegativeTable::recommended_size(n),
-        );
+        let syn0 = SharedMatrix::uniform_init(n, cfg.dim, cfg.dim, cfg.seed);
+        let syn1 = SharedMatrix::zeros(n, cfg.dim, cfg.dim);
+        let table = NegativeTable::from_corpus(corpus, n, NegativeTable::recommended_size(n));
         let sigmoid = SigmoidTable::default();
-        let total = corpus.total_tokens() * cfg.epochs;
+        let total = corpus.total_vertices() * cfg.epochs;
         let mut done = 0u64;
         for epoch in 0..cfg.epochs {
             for s in 0..corpus.num_walks() {
@@ -723,31 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_preserves_untouched_vectors_padded_layout() {
-        // Regression: the warm-start copy must honor the Padded stride,
-        // not just the packed one — a flat memcpy would interleave rows.
-        let (corpus, n) = two_community_corpus();
-        for reduction in [Reduction::Simd, Reduction::Scalar] {
-            let cfg = Word2VecConfig::default()
-                .epochs(4)
-                .seed(13)
-                .layout(Layout::Padded)
-                .reduction(reduction);
-            let base = train(&corpus, n, &cfg, &ParConfig::with_threads(1));
-            let sub = WalkSet::from_walks(&[vec![0, 1, 2], vec![2, 3, 4]], 4);
-            let refreshed =
-                train_from(&sub, n, &base, &cfg.clone().epochs(1), &ParConfig::with_threads(1));
-            for v in 5..10u32 {
-                assert_eq!(
-                    refreshed.get(v),
-                    base.get(v),
-                    "untouched node {v} moved under Padded/{reduction:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn warm_start_grows_vocabulary() {
         let (corpus, n) = two_community_corpus();
         let cfg = Word2VecConfig::default().epochs(2).seed(12);
@@ -775,24 +573,8 @@ mod tests {
     }
 
     #[test]
-    fn locked_training_matches_hogwild_quality() {
-        let (corpus, n) = two_community_corpus();
-        let cfg = Word2VecConfig::default().epochs(6).seed(8);
-        let emb = train_locked(&corpus, n, &cfg, &ParConfig::with_threads(4));
-        let (intra, inter) = mean_intra_inter(&emb);
-        assert!(intra > inter + 0.2, "locked: intra {intra} inter {inter}");
-    }
-
-    #[test]
     fn negative_table_policy_is_shared() {
         assert_eq!(NegativeTable::recommended_size(10), NegativeTable::MIN_TABLE_SIZE);
         assert_eq!(NegativeTable::recommended_size(1_000_000), 8_000_000);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size must be positive")]
-    fn zero_batch_panics() {
-        let (corpus, n) = two_community_corpus();
-        let _ = train_batched(&corpus, n, &Word2VecConfig::default(), &ParConfig::default(), 0);
     }
 }
