@@ -31,7 +31,6 @@
 pub mod ablation;
 mod config;
 mod embedding;
-pub mod io;
 mod model;
 mod table;
 mod train;

@@ -6,7 +6,7 @@
 //! timestamp distribution). This crate provides the equivalent building
 //! block for the rest of the workspace: a chunked, dynamically scheduled
 //! `parallel_for` built on [`std::thread::scope`] and a shared work
-//! queue, plus helpers for parallel map/reduce with per-thread state.
+//! queue, plus a parallel reduce with per-chunk accumulators.
 //!
 //! # Examples
 //!
@@ -26,10 +26,9 @@ mod reduce;
 
 pub use config::ParConfig;
 pub use pool::{
-    parallel_chunks, parallel_chunks_shared, parallel_for, parallel_for_index, parallel_workers,
-    ChunkQueue, TaskPool,
+    parallel_chunks, parallel_chunks_shared, parallel_for, parallel_workers, ChunkQueue, TaskPool,
 };
-pub use reduce::{parallel_map_reduce, parallel_reduce_with};
+pub use reduce::parallel_reduce_with;
 
 #[cfg(test)]
 mod tests {

@@ -171,31 +171,6 @@ where
     parallel_chunks(cfg, len, |start, end| body(shared, start, end));
 }
 
-/// Runs `body(i)` for every `i` in `0..len` using dynamic scheduling.
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::atomic::{AtomicU64, Ordering};
-/// use par::{parallel_for_index, ParConfig};
-///
-/// let sum = AtomicU64::new(0);
-/// parallel_for_index(&ParConfig::default(), 100, |i| {
-///     sum.fetch_add(i as u64, Ordering::Relaxed);
-/// });
-/// assert_eq!(sum.into_inner(), 4950);
-/// ```
-pub fn parallel_for_index<F>(cfg: &ParConfig, len: usize, body: F)
-where
-    F: Fn(usize) + Sync,
-{
-    parallel_chunks(cfg, len, |start, end| {
-        for i in start..end {
-            body(i);
-        }
-    });
-}
-
 /// Runs `body(i, &mut out[i])` for every element of `out` in parallel.
 ///
 /// Each invocation receives exclusive access to its own slot, so `body`

@@ -1,54 +1,8 @@
-//! Parallel map-reduce with per-chunk accumulators.
+//! Parallel reduce with per-chunk accumulators.
 
 use std::sync::Mutex;
 
 use crate::{parallel_chunks, ParConfig};
-
-/// Maps `map(i)` over `0..len` and folds the results with `reduce`,
-/// starting from `identity`.
-///
-/// The reduction order is nondeterministic, so `reduce` should be
-/// associative and commutative for deterministic results.
-///
-/// # Examples
-///
-/// ```
-/// use par::{parallel_map_reduce, ParConfig};
-///
-/// let total = parallel_map_reduce(
-///     &ParConfig::default(),
-///     1_000,
-///     0u64,
-///     |i| i as u64,
-///     |a, b| a + b,
-/// );
-/// assert_eq!(total, 499_500);
-/// ```
-pub fn parallel_map_reduce<T, M, R>(
-    cfg: &ParConfig,
-    len: usize,
-    identity: T,
-    map: M,
-    reduce: R,
-) -> T
-where
-    T: Clone + Send + Sync,
-    M: Fn(usize) -> T + Sync,
-    R: Fn(T, T) -> T + Sync,
-{
-    parallel_reduce_with(
-        cfg,
-        len,
-        identity,
-        |mut acc, start, end| {
-            for i in start..end {
-                acc = reduce(acc, map(i));
-            }
-            acc
-        },
-        &reduce,
-    )
-}
 
 /// Folds chunk ranges of `0..len` into per-chunk accumulators with
 /// `fold(acc, start, end)` and combines the partials with `merge`.
