@@ -19,7 +19,7 @@
 //!
 //! Selection happens **once**, on first use, via
 //! `is_x86_feature_detected!` (resp. `is_aarch64_feature_detected!`) into
-//! a function-pointer table ([`KernelTable`]) held in a
+//! a function-pointer table (`KernelTable`) held in a
 //! [`std::sync::LazyLock`] — there is no per-call feature probing. Setting
 //! the environment variable **`SIMD_FORCE_SCALAR`** (to anything but `0`
 //! or the empty string) before first use pins the scalar path, which CI

@@ -84,7 +84,7 @@ pub fn align_up(n: u64) -> u64 {
     n.div_ceil(SECTION_ALIGN as u64) * SECTION_ALIGN as u64
 }
 
-/// Streaming FNV-1a-64 variant striped across [`LANES`] independent
+/// Streaming FNV-1a-64 variant striped across `LANES` independent
 /// lanes of little-endian `u64` words. Word `i` of the stream folds
 /// into lane `i % LANES`, and [`Checksum::finish`] chains the lane
 /// digests through one more FNV pass together with the total length.

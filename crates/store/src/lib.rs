@@ -1,6 +1,6 @@
 //! Persistent zero-copy storage for the pipeline's heavy artifacts.
 //!
-//! One container format (see [`format`]) holds three artifact kinds:
+//! One container format (see [`format`](mod@format)) holds three artifact kinds:
 //!
 //! * **Graphs** — the CSR arrays of a [`tgraph::TemporalGraph`], plus
 //!   optionally the prepared sampler tables built for it, so a run can

@@ -41,7 +41,7 @@ impl TemporalGraph {
     /// nondecreasing, and end at `dsts.len()`; `dsts` and `times` must be
     /// parallel; every destination must be `< num_nodes`; every timestamp
     /// must be finite; and each vertex segment must be time-sorted
-    /// ascending. Any violation is a [`TGraphError::InvalidCsr`] — never
+    /// ascending. Any violation is a [`crate::TGraphError::InvalidCsr`] — never
     /// a panic later in the walk kernel.
     pub fn from_csr_parts(
         offsets: Storage<usize>,

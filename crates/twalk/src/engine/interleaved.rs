@@ -13,18 +13,18 @@
 //! Each worker holds a ring of [`crate::WalkConfig::ring`] in-flight walk
 //! queries and sweeps it round-robin, advancing every live walk through a
 //! two-stage pipeline. Both stages are issued from a single sweep visit,
-//! but for *different* slots, so every fetch overlaps [`LOOKAHEAD`] other
+//! but for *different* slots, so every fetch overlaps `LOOKAHEAD` other
 //! walks' advances:
 //!
 //! 1. **Fetch** — issue software prefetches for the vertex of the slot
-//!    [`LOOKAHEAD`] positions ahead in the ring: the CSR segment
+//!    `LOOKAHEAD` positions ahead in the ring: the CSR segment
 //!    (timestamps + destinations) and the sampler's table slice for
 //!    whatever [`crate::SamplingMethod`] that vertex was assigned. The
 //!    CSR *offsets* entry was already prefetched when that walk arrived
 //!    at the vertex (a prefetch cannot chase a pointer, so the offsets
 //!    load is warmed one stage earlier than the segment it unlocks).
 //! 2. **Advance** — the visited slot's own segment was fetched
-//!    [`LOOKAHEAD`] visits ago and has had that many other walks' work
+//!    `LOOKAHEAD` visits ago and has had that many other walks' work
 //!    to arrive: compute the valid suffix, sample the transition, write
 //!    the output row, and either retire the walk (dead end / length cap)
 //!    or move it and issue the next offsets prefetch.
