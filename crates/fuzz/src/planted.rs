@@ -1,23 +1,25 @@
 //! Planted-bug self-test: the harness must be able to kill mutants, not
-//! just burn CPU. Two known historical bugs are reintroduced here as
-//! `#[cfg(test)]` shims, and the tests assert the runner finds each one
-//! within its iteration budget, auto-minimizes the failing input, and
-//! replays it byte-identically from the printed `(seed, iteration)`.
+//! just burn CPU. Two bugs are planted here as `#[cfg(test)]` shims, and
+//! the tests assert the runner finds each one within its iteration
+//! budget, auto-minimizes the failing input, and replays it
+//! byte-identically from the printed `(seed, iteration)`.
 //!
-//! * **Framer split bug** (fixed this PR in serve/src/reactor/conn.rs):
+//! * **Framer split bug** (fixed in serve/src/reactor/conn.rs):
 //!   the pre-fix `LineFramer::push` applied the line cap only to the
 //!   unterminated tail, so a terminated overlong line was accepted when
 //!   delivered in one push but poisoned the framer when split — the
 //!   verdict depended on chunking. [`BuggyFramer`] reimplements exactly
 //!   those semantics behind the real framer target's oracle.
-//! * **Negative-table race shape** (PR 9, fixed in embed/src/stream.rs):
-//!   during epoch 0 a worker crossing a doubling milestone CAS-elected
-//!   itself rebuilder but published the new milestone before the table
-//!   build completed, so another worker could sample from a table that
-//!   did not exist yet. [`race_model`] replays that shape as a
-//!   deterministic tape-scheduled interleaving of a small state machine,
-//!   which is how a concurrency bug stays honestly findable by a
-//!   deterministic fuzzer.
+//! * **Publish-before-build race** (a planted concurrency bug, modeling
+//!   no code that ships): workers share a table that grows at token
+//!   milestones; the worker that crosses one is elected to rebuild it,
+//!   but publishes the new milestone before the build completes, so
+//!   another worker can sample from a table that does not exist yet.
+//!   [`race_model`] is that shape as a small state machine whose worker
+//!   interleaving is decoded from the tape. It shows that a deterministic
+//!   fuzzer finds a bad interleaving honestly when the schedule itself is
+//!   input, the starting point for exploring the schedules of the real
+//!   concurrent code.
 
 use crate::rng::FuzzRng;
 use crate::runner::{run_caught, Budget, FuzzTarget, Runner};
@@ -93,14 +95,14 @@ impl FuzzTarget for PlantedFramerTarget {
     }
 }
 
-/// Epoch-0 token milestones at which the negative table doubles.
+/// Token milestones at which the shared table doubles.
 const MILESTONES: [u64; 3] = [4, 8, 16];
 
-/// Deterministic replay of the PR 9 race shape. The tape decodes a
-/// worker interleaving; `fixed` selects the corrected semantics (the
-/// table is built before the milestone is published — the double-checked
-/// locking fix) or the buggy ones (published first, built at the elected
-/// worker's *next* turn).
+/// Deterministic replay of the publish-before-build race. The tape
+/// decodes a worker interleaving; `fixed` selects the corrected semantics
+/// (the table is built before the milestone is published — the
+/// double-checked locking fix) or the buggy ones (published first, built
+/// at the elected worker's *next* turn).
 fn race_model(t: &mut Tape, fixed: bool) -> Result<(), String> {
     let workers = 2 + t.choice(2);
     let steps = t.choice(24) + 2;
