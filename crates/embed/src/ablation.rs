@@ -69,6 +69,7 @@ pub enum Reduction {
 }
 
 impl Reduction {
+    /// The per-sentence step this strategy trains with.
     fn step(self) -> SentenceStep {
         match self {
             Reduction::Scalar => pair_sentence::<false>,
