@@ -5,10 +5,12 @@
 //!
 //! Run with `SIMD_FORCE_SCALAR=1` to measure the fallback against itself
 //! (the two groups should then coincide). `simd/sgns_window` times the
-//! SGNS window kernel, 1024 window steps per sample.
+//! SGNS window kernel, 1024 window steps per sample, each reading its
+//! rows from and adding its updates to 1024-row tables in place.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::sync::atomic::AtomicU32;
 
 fn filled(n: usize, seed: u32) -> Vec<f32> {
     (0..n)
@@ -94,27 +96,45 @@ fn bench_gemm(c: &mut Criterion) {
 
 fn bench_sgns_window(c: &mut Criterion) {
     // The SGNS window step at its largest default shape: 10 context rows
-    // (window 5), 6 targets (5 negatives), re-gathered each call.
+    // (window 5), 6 targets (5 negatives), over rows scattered across two
+    // 1024-row tables that the steps keep training, as in RW-P2.
     let mut group = c.benchmark_group("simd/sgns_window");
     group.sample_size(50);
     let values: Vec<f32> =
         (0..1000).map(|i| 1.0 / (1.0 + (-((i as f32 / 999.0) * 12.0 - 6.0)).exp())).collect();
     let lut = simd::SigmoidLut { values: &values, max_exp: 6.0 };
-    let (b, s) = (10usize, 6usize);
+    let (rows, b, s) = (1024usize, 10usize, 6usize);
+    let row = |i: usize, salt: usize| (i.wrapping_mul(2654435761) ^ salt) % rows;
     for dim in [8usize, 128] {
-        let inp0: Vec<f32> = filled(b * dim, 10).iter().map(|x| x - 0.5).collect();
-        let out0: Vec<f32> = filled(s * dim, 11).iter().map(|x| x - 0.5).collect();
-        let (mut inp, mut out) = (inp0.clone(), out0.clone());
-        for (name, kernel) in [
-            ("dispatched", simd::sgns_window as fn(_, &mut [f32], &mut [f32], _, _)),
-            ("scalar", simd::scalar::sgns_window),
-        ] {
+        let table = |seed| -> Vec<AtomicU32> {
+            filled(rows * dim, seed).iter().map(|x| AtomicU32::new((x - 0.5).to_bits())).collect()
+        };
+        let windows: Vec<(Vec<usize>, Vec<usize>)> = (0..1024)
+            .map(|w| {
+                (
+                    (0..b).map(|j| row(w * b + j, 1)).collect(),
+                    (0..s).map(|k| row(w * s + k, 2)).collect(),
+                )
+            })
+            .collect();
+        type Kernel = fn(
+            usize,
+            usize,
+            &[AtomicU32],
+            &[usize],
+            &[AtomicU32],
+            &[usize],
+            simd::SigmoidLut<'_>,
+            f32,
+        );
+        for (name, kernel) in
+            [("dispatched", simd::sgns_window as Kernel), ("scalar", simd::scalar::sgns_window)]
+        {
+            let (syn0, syn1) = (table(10), table(11));
             group.bench_with_input(BenchmarkId::new(name, dim), &dim, |bch, _| {
                 bch.iter(|| {
-                    for _ in 0..1024 {
-                        inp.copy_from_slice(&inp0);
-                        out.copy_from_slice(&out0);
-                        kernel(dim, black_box(&mut inp), black_box(&mut out), lut, 0.025);
+                    for (ctx, tgt) in &windows {
+                        kernel(dim, dim, black_box(&syn0), ctx, black_box(&syn1), tgt, lut, 0.025);
                     }
                 });
             });

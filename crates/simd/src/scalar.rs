@@ -10,6 +10,8 @@
 //! workspace already used, so LLVM auto-vectorizes them where profitable —
 //! "scalar" here means "no explicit intrinsics", not "no vector units".
 
+use std::sync::atomic::{AtomicU32, Ordering};
+
 /// Dot product `Σ a[i]·b[i]` with 4-way unrolled accumulation.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -101,26 +103,41 @@ pub fn gemm_transa_accum(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: 
     }
 }
 
-/// The window step of [`crate::sgns_window`]: `G = (label − σ(In·Outᵀ))·lr`
-/// over the `b = inp.len() / d` context rows and `s = out.len() / d`
-/// targets (target 0 labelled 1), then `inp ← G·Out` and `out ← Gᵀ·In`
-/// from the rows as passed in.
+/// The window step of [`crate::sgns_window`]: gathers the `b` context
+/// rows `In` and `s` target rows `Out` (target 0 labelled 1), computes
+/// `G = (label − σ(In·Outᵀ))·lr`, `ΔIn = G·Out` and `ΔOut = Gᵀ·In`, then
+/// adds each slot's update to its row with relaxed atomic
+/// read-add-stores, context slots first.
+#[allow(clippy::too_many_arguments)]
 pub fn sgns_window(
     d: usize,
-    inp: &mut [f32],
-    out: &mut [f32],
+    stride: usize,
+    syn0: &[AtomicU32],
+    ctx: &[usize],
+    syn1: &[AtomicU32],
+    tgt: &[usize],
     sigmoid: crate::SigmoidLut<'_>,
     lr: f32,
 ) {
-    let (b, s) = (inp.len() / d, out.len() / d);
+    let (b, s) = (ctx.len(), tgt.len());
+    let len = (b + s) * d + b * s + s;
     let (mut stack, mut heap) = ([0.0; crate::WINDOW_STACK_FLOATS], Vec::new());
-    let scratch = if b * s + s <= stack.len() {
-        &mut stack[..b * s + s]
+    let scratch = if len <= stack.len() {
+        &mut stack[..len]
     } else {
-        heap.resize(b * s + s, 0.0);
+        heap.resize(len, 0.0);
         &mut heap[..]
     };
-    let (g, col) = scratch.split_at_mut(b * s);
+    let (inp, rest) = scratch.split_at_mut(b * d);
+    let (out, rest) = rest.split_at_mut(s * d);
+    let (g, col) = rest.split_at_mut(b * s);
+    for (rows, table, buf) in [(ctx, syn0, &mut *inp), (tgt, syn1, &mut *out)] {
+        for (&r, row) in rows.iter().zip(buf.chunks_exact_mut(d)) {
+            for (x, cell) in row.iter_mut().zip(&table[r * stride..r * stride + d]) {
+                *x = f32::from_bits(cell.load(Ordering::Relaxed));
+            }
+        }
+    }
     for (j, grow) in g.chunks_exact_mut(s).enumerate() {
         let x = &inp[j * d..(j + 1) * d];
         for (k, gk) in grow.iter_mut().enumerate() {
@@ -139,6 +156,14 @@ pub fn sgns_window(
         }
         for (k, &ck) in col.iter().enumerate() {
             out[k * d + e] = ck;
+        }
+    }
+    for (rows, table, buf) in [(ctx, syn0, &*inp), (tgt, syn1, &*out)] {
+        for (&r, delta) in rows.iter().zip(buf.chunks_exact(d)) {
+            for (cell, &dx) in table[r * stride..r * stride + d].iter().zip(delta) {
+                let x = f32::from_bits(cell.load(Ordering::Relaxed));
+                cell.store((x + dx).to_bits(), Ordering::Relaxed);
+            }
         }
     }
 }
