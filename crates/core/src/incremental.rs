@@ -85,9 +85,9 @@ impl IncrementalEmbedder {
         self.refreshes
     }
 
-    /// Per-method vertex counts of the sampler built by the last refresh
-    /// that generated walks (all zeros before the first refresh and after
-    /// no-op refreshes).
+    /// Per-method vertex counts of the sampler the last refresh built: all
+    /// zeros before the first refresh and after a no-op refresh, which
+    /// builds none.
     pub fn last_sampler_stats(&self) -> RefreshSamplerStats {
         self.last_sampler
     }
@@ -111,6 +111,13 @@ impl IncrementalEmbedder {
     /// calls re-walk only the dirty vertices and fine-tune with a warm
     /// start. With no pending changes this is a cheap no-op.
     pub fn refresh(&mut self) -> &EmbeddingMatrix {
+        if let Some(current) = &self.emb {
+            if self.graph.dirty_count() == 0 && self.graph.num_nodes() == current.num_nodes() {
+                self.last_sampler = RefreshSamplerStats::default();
+                self.refreshes += 1;
+                return self.emb.as_ref().expect("just checked");
+            }
+        }
         let csr = self.graph.to_csr();
         let par = self.hp.par_config();
         let seed_bump = self.refreshes as u64;
@@ -127,11 +134,6 @@ impl IncrementalEmbedder {
             }
             Some(current) => {
                 let dirty = self.graph.take_dirty();
-                if dirty.is_empty() && csr.num_nodes() == current.num_nodes() {
-                    self.emb = Some(current);
-                    self.refreshes += 1;
-                    return self.emb.as_ref().expect("just set");
-                }
                 // The CSR changes between refreshes, so the sampler must be
                 // rebuilt — but one build now covers every dirty vertex's
                 // walks instead of paying direct evaluation per step. The
@@ -279,6 +281,21 @@ mod tests {
         // Vertices 0, 1, 2 churned; all have out-edges in this graph.
         assert_eq!(stats.rejection_vertices, 3, "{stats:?}");
         assert!(stats.cdf_vertices > 0, "{stats:?}");
+    }
+
+    #[test]
+    fn no_op_refresh_zeroes_sampler_stats() {
+        let g = base_graph();
+        let mut inc = IncrementalEmbedder::new(Hyperparams::paper_optimal().quick_test(), &g);
+        inc.refresh();
+        inc.ingest([TemporalEdge::new(0, 1, 2.0)]);
+        inc.refresh();
+        assert_ne!(inc.last_sampler_stats(), RefreshSamplerStats::default());
+        let before = inc.embedding().cloned();
+        inc.refresh();
+        assert_eq!(inc.last_sampler_stats(), RefreshSamplerStats::default());
+        assert_eq!(inc.embedding().cloned(), before);
+        assert_eq!(inc.refreshes(), 3);
     }
 
     #[test]
