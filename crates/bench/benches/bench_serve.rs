@@ -1,30 +1,27 @@
 //! Criterion bench: the online serving subsystem (`rwserve`).
 //!
-//! The headline comparison is micro-batching: 64 concurrent clients
-//! hammering `link_score` through the same serving stack configured as
-//! one-request-per-forward-pass (`max_batch = 1`) vs micro-batched
-//! (`max_batch = 64`). Batching amortizes the per-pass overhead (scorer
-//! wakeup, snapshot load, tensor assembly, GEMM dispatch) across the
-//! whole batch, so the batched configuration must sustain several times
-//! the throughput. The `serve/micro_batch_speedup` entry prints the
-//! measured ratio directly.
+//! `serve/link_score_64` answers the same 64 `link_score` lines two ways,
+//! both on the calling thread: one `Service::handle_line` per line (what
+//! a blocking connection handler does) and one `Service::respond_batch`
+//! over all 64 (what a shard worker does with a drained group). Both
+//! include parsing, scoring and serializing, so the two times compare
+//! directly: their ratio is what one 64-row forward pass saves over 64
+//! one-row passes.
 //!
 //! Also covered: the parallel brute-force `topk_neighbors` scan and raw
 //! snapshot load/publish churn.
 
 use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use embed::EmbeddingMatrix;
 use nn::{Mlp, OutputHead};
 use par::ParConfig;
+use rwserve::protocol::parse_request;
 use rwserve::{BatchPolicy, EmbeddingStore, QueryEngine, Service};
 use std::hint::black_box;
 
-const CLIENTS: usize = 64;
-const REQUESTS_PER_CLIENT: usize = 64;
+const GROUP: u32 = 64;
 
 /// A serving store over a synthetic embedding table (paper-optimal
 /// `d = 8`, 2-layer FNN with 64 hidden units).
@@ -35,93 +32,30 @@ fn store(n: usize) -> Arc<EmbeddingStore> {
     Arc::new(EmbeddingStore::new(emb, Mlp::new(&[2 * d, 64, 1], OutputHead::Binary, 42)))
 }
 
-fn service(policy: BatchPolicy) -> Arc<Service> {
-    Arc::new(Service::new(store(10_000), ParConfig::with_threads(2), policy))
-}
-
-/// One load round: `CLIENTS` threads, each scoring
-/// `REQUESTS_PER_CLIENT` pairs through the micro-batcher. Returns the
-/// wall time of the whole round.
-fn hammer(svc: &Arc<Service>) -> Duration {
-    let started = Instant::now();
-    let handles: Vec<_> = (0..CLIENTS as u32)
-        .map(|t| {
-            let svc = Arc::clone(svc);
-            thread::spawn(move || {
-                for i in 0..REQUESTS_PER_CLIENT as u32 {
-                    let u = (t * 131 + i * 7) % 10_000;
-                    let v = (t * 31 + i * 13 + 1) % 10_000;
-                    black_box(svc.batcher().score(u, v).0.expect("valid pair"));
-                }
-            })
+fn bench_link_score(c: &mut Criterion) {
+    let svc = Service::new(store(10_000), ParConfig::with_threads(2), BatchPolicy::default());
+    let lines: Vec<String> = (0..GROUP)
+        .map(|i| {
+            let (u, v) = ((i * 131) % 10_000, (i * 31 + 1) % 10_000);
+            format!(r#"{{"op":"link_score","u":{u},"v":{v}}}"#)
         })
         .collect();
-    for h in handles {
-        h.join().expect("client thread panicked");
-    }
-    started.elapsed()
-}
-
-fn unbatched_policy() -> BatchPolicy {
-    BatchPolicy { max_batch: 1, max_wait: Duration::ZERO }
-}
-
-fn batched_policy() -> BatchPolicy {
-    BatchPolicy { max_batch: 64, max_wait: Duration::from_micros(200) }
-}
-
-fn bench_micro_batch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("serve/link_score_64_clients");
-    group.sample_size(10);
-    for (name, policy) in [("one_per_pass", unbatched_policy()), ("batched_64", batched_policy())] {
-        let svc = service(policy);
-        group.bench_function(name, |b| b.iter(|| hammer(&svc)));
-    }
+    let mut group = c.benchmark_group("serve/link_score_64");
+    group.bench_function("handle_line_lone", |b| {
+        b.iter(|| {
+            for line in &lines {
+                black_box(svc.handle_line(black_box(line)));
+            }
+        })
+    });
+    group.bench_function("respond_batch", |b| {
+        b.iter(|| {
+            let requests =
+                lines.iter().map(|l| parse_request(black_box(l)).expect("valid line")).collect();
+            black_box(svc.respond_batch(requests))
+        })
+    });
     group.finish();
-}
-
-/// One pipelined round: waves of [`CLIENTS`] requests in flight at once
-/// (what a pipelining JSON-lines client produces), submitted through the
-/// batcher. With `max_batch = 1` every request is its own forward pass;
-/// with `max_batch = 64` each wave coalesces into one GEMM.
-fn hammer_pipelined(svc: &Arc<Service>, waves: usize) -> Duration {
-    let pairs: Vec<(u32, u32)> =
-        (0..CLIENTS as u32).map(|i| ((i * 131) % 10_000, (i * 31 + 1) % 10_000)).collect();
-    let started = Instant::now();
-    for _ in 0..waves {
-        for (result, _version) in svc.batcher().score_all(&pairs) {
-            black_box(result.expect("valid pair"));
-        }
-    }
-    started.elapsed()
-}
-
-/// Measures the two configurations back to back under 64 concurrent
-/// in-flight requests and prints the speedup — the acceptance number
-/// (>= 3x) made visible in the bench output.
-fn bench_speedup_report(c: &mut Criterion) {
-    let mut group = c.benchmark_group("serve/micro_batch_pipelined");
-    group.sample_size(10);
-    for (name, policy) in [("one_per_pass", unbatched_policy()), ("batched_64", batched_policy())] {
-        let svc = service(policy);
-        group.bench_function(name, |b| b.iter(|| hammer_pipelined(&svc, 4)));
-    }
-    group.finish();
-
-    let measure = |policy: BatchPolicy| {
-        let svc = service(policy);
-        hammer_pipelined(&svc, 8); // warmup
-        let waves = 64;
-        let elapsed = hammer_pipelined(&svc, waves);
-        (CLIENTS * waves) as f64 / elapsed.as_secs_f64()
-    };
-    let base_rps = measure(unbatched_policy());
-    let batched_rps = measure(batched_policy());
-    println!(
-        "serve/micro_batch_speedup @ {CLIENTS} concurrent: one_per_pass {base_rps:.0} rps, \
-         batched_64 {batched_rps:.0} rps -> {:.1}x",
-        batched_rps / base_rps
-    );
 }
 
 fn bench_topk(c: &mut Criterion) {
@@ -147,11 +81,5 @@ fn bench_snapshot_churn(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_micro_batch,
-    bench_speedup_report,
-    bench_topk,
-    bench_snapshot_churn
-);
+criterion_group!(benches, bench_link_score, bench_topk, bench_snapshot_churn);
 criterion_main!(benches);

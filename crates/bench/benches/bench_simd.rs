@@ -75,7 +75,7 @@ fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("simd/gemm_transb");
     group.sample_size(20);
     // (m, n, k) shapes from the pipeline: FNN forward batches and the
-    // serve micro-batcher's 2d-wide feature rows.
+    // serve path's 2d-wide `link_score` feature rows.
     for (m, n, k) in [(64usize, 64usize, 64usize), (256, 16, 256), (64, 256, 16)] {
         let a = filled(m * k, 8);
         let bt = filled(n * k, 9);

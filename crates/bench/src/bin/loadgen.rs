@@ -299,12 +299,10 @@ fn run_one(cfg: &Config, io: &str) -> RunResult {
     // check is that admission control keeps them bounded past
     // saturation, which the final snapshot alone cannot show.
     let max_shard_depth = Arc::new(AtomicU64::new(0));
-    let max_batcher_depth = Arc::new(AtomicU64::new(0));
     let sampler = {
         let stop = Arc::clone(&stop);
         let svc = Arc::clone(&service);
         let max_shard = Arc::clone(&max_shard_depth);
-        let max_batch = Arc::clone(&max_batcher_depth);
         thread::spawn(move || {
             while !stop.load(Ordering::Acquire) {
                 let snap = svc.registry().snapshot();
@@ -314,9 +312,6 @@ fn run_one(cfg: &Config, io: &str) -> RunResult {
                         Some(depth) => max_shard.fetch_max(depth.max(0) as u64, Ordering::Relaxed),
                         None => break,
                     };
-                }
-                if let Some(depth) = snap.gauge("serve_batcher_queue_depth") {
-                    max_batch.fetch_max(depth.max(0) as u64, Ordering::Relaxed);
                 }
                 thread::sleep(Duration::from_millis(5));
             }
@@ -393,11 +388,10 @@ fn run_one(cfg: &Config, io: &str) -> RunResult {
     println!(
         "\n[{io}/{}] {answered}/{total_sent} answered in {:.2}s -> {rps:.0} rps \
          ({total_ok} ok, {total_overloaded} overloaded, {total_errors} errors; \
-         server shed {shed}; max shard depth {}, max batcher depth {})",
+         server shed {shed}; max shard depth {})",
         cfg.mode,
         elapsed.as_secs_f64(),
         max_shard_depth.load(Ordering::Relaxed),
-        max_batcher_depth.load(Ordering::Relaxed),
     );
     println!("| op | count | p50 us | p95 us | p99 us |");
     println!("|---|---|---|---|---|");

@@ -16,8 +16,8 @@
 //! rwalk profile   [--dataset NAME] [--scale S]   # instruction mix + stalls
 //! rwalk serve     [--dataset NAME | --wel FILE | --graph-store FILE]
 //!                 [--snapshot FILE] [--scale S] [--port P]
-//!                 [--threads T] [--max-batch B] [--max-wait-us W]
-//!                 [--refresh-ms R] [--io blocking|reactor] [--shards N]
+//!                 [--threads T] [--refresh-ms R]
+//!                 [--io blocking|reactor] [--shards N]
 //!                 [--shard-budget Q] [--max-conns C]
 //!                 [--idle-timeout-ms I] [--smoke]
 //! rwalk pack      [--dataset NAME | --wel FILE] [--scale S]
@@ -142,8 +142,6 @@ struct Options {
     engine: WalkEngine,
     static_walks: bool,
     port: u16,
-    max_batch: usize,
-    max_wait_us: u64,
     refresh_ms: u64,
     io: String,
     shards: usize,
@@ -175,8 +173,6 @@ impl Options {
             engine: WalkEngine::Auto,
             static_walks: false,
             port: 7878,
-            max_batch: 64,
-            max_wait_us: 200,
             refresh_ms: 1_000,
             io: "reactor".into(),
             shards: 0,
@@ -224,14 +220,6 @@ impl Options {
                 }
                 "--static" => o.static_walks = true,
                 "--port" => o.port = val("--port")?.parse().map_err(|e| format!("--port: {e}"))?,
-                "--max-batch" => {
-                    o.max_batch =
-                        val("--max-batch")?.parse().map_err(|e| format!("--max-batch: {e}"))?
-                }
-                "--max-wait-us" => {
-                    o.max_wait_us =
-                        val("--max-wait-us")?.parse().map_err(|e| format!("--max-wait-us: {e}"))?
-                }
                 "--refresh-ms" => {
                     o.refresh_ms =
                         val("--refresh-ms")?.parse().map_err(|e| format!("--refresh-ms: {e}"))?
@@ -277,9 +265,6 @@ impl Options {
         }
         if o.dim == 0 {
             return Err("--dim must be at least 1".into());
-        }
-        if o.max_batch == 0 {
-            return Err("--max-batch must be at least 1".into());
         }
         if o.refresh_ms == 0 {
             return Err("--refresh-ms must be at least 1".into());
@@ -537,10 +522,11 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
         (Arc::new(EmbeddingStore::new(model.emb, model.mlp)), Some(graph))
     };
 
-    let policy =
-        BatchPolicy { max_batch: o.max_batch, max_wait: Duration::from_micros(o.max_wait_us) };
-    let mut service =
-        Service::new(Arc::clone(&store), par::ParConfig::with_threads(o.threads), policy);
+    let mut service = Service::new(
+        Arc::clone(&store),
+        par::ParConfig::with_threads(o.threads),
+        BatchPolicy::default(),
+    );
     let ingest_enabled = graph.is_some();
     if let Some(graph) = graph {
         // Warm restarts skip the initial refresh — the served embedding

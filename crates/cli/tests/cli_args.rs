@@ -44,7 +44,9 @@ fn rejected_flag_combinations_fail_with_explanations() {
         (&["linkpred", "--len", "0"], "--len"),
         (&["linkpred", "--dim", "0"], "--dim"),
         (&["linkpred", "--walks", "-3"], "--walks"),
-        (&["serve", "--max-batch", "0"], "--max-batch"),
+        // The micro-batcher is gone, and its flags with it.
+        (&["serve", "--max-batch", "64"], "unknown flag"),
+        (&["serve", "--max-wait-us", "200"], "unknown flag"),
         (&["serve", "--refresh-ms", "0"], "--refresh-ms"),
         // Reactor transport flags.
         (&["serve", "--io", "uring"], "valid values: blocking, reactor"),

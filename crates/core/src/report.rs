@@ -135,7 +135,7 @@ impl TaskReport {
 /// Aggregate counters of a serving process — the online analog of
 /// [`TaskReport`] for the `rwserve` subsystem. Batch pipelines report
 /// per-phase wall-clock once; a server reports request mix, latency, and
-/// micro-batch efficiency continuously.
+/// `link_score` forward-pass sizes continuously.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServeStats {
     /// Seconds the server has been up.
@@ -156,9 +156,9 @@ pub struct ServeStats {
     pub mean_latency_us: f64,
     /// Worst per-request latency in microseconds.
     pub max_latency_us: f64,
-    /// Forward passes run by the micro-batcher.
+    /// `link_score` forward passes, passes of one included.
     pub batches: u64,
-    /// Mean `link_score` requests coalesced per forward pass.
+    /// Mean `link_score` requests scored per forward pass.
     pub mean_batch: f64,
     /// Version of the model snapshot currently being served.
     pub snapshot_version: u64,

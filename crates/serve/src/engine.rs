@@ -38,7 +38,7 @@ impl std::error::Error for QueryError {}
 
 /// Scores edge pairs against one snapshot with a single batched forward
 /// pass. Invalid pairs get per-pair errors; valid pairs are still scored,
-/// so one bad request never poisons the micro-batch it rode in.
+/// so one bad request never poisons the batch it rode in.
 pub fn score_pairs(
     snap: &ModelSnapshot,
     pairs: &[(NodeId, NodeId)],
@@ -85,8 +85,7 @@ impl QueryEngine {
     }
 
     /// Link-existence probability for `(u, v)` plus the snapshot version
-    /// it was computed against. One forward pass; the micro-batcher is
-    /// the higher-throughput path for concurrent callers.
+    /// it was computed against, in one forward pass.
     pub fn link_score(&self, u: NodeId, v: NodeId) -> Result<(f32, u64), QueryError> {
         let snap = self.store.load();
         let score = score_pairs(&snap, &[(u, v)]).pop().expect("one pair in, one result out")?;

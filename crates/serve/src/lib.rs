@@ -13,10 +13,10 @@
 //!   `(embedding table, link-FNN)` pair as one immutable
 //!   [`ModelSnapshot`] behind an atomic swap — readers never block and
 //!   never observe a torn model (DESIGN.md §9).
-//! - [`engine`] + [`batcher`]: the query side. `link_score(u, v)`,
-//!   `embedding(u)`, and `topk_neighbors(u, k)` (a parallel brute-force
-//!   dot-product scan), with a [`MicroBatcher`] that coalesces concurrent
-//!   `link_score` calls into one batched GEMM forward pass.
+//! - [`engine`]: the query side. `link_score(u, v)`, `embedding(u)`,
+//!   and `topk_neighbors(u, k)` (a parallel brute-force dot-product
+//!   scan). `link_score`s are scored on the thread that holds them: one
+//!   forward pass per request, or one per group a shard worker drains.
 //! - [`refresh`]: the write side. Streamed edges queue into a
 //!   [`Refresher`] that ingests them into the evolving graph, re-embeds
 //!   dirty vertices with [`rwalk_core::IncrementalEmbedder`] off the hot
@@ -27,10 +27,10 @@
 //! - [`reactor`] + [`shard`]: the readiness-driven front end (DESIGN.md
 //!   §15). One epoll event loop (raw syscalls, no dependencies) owns
 //!   every connection; parsed requests route by consistent hash to N
-//!   shard workers whose batched dispatch keeps the [`MicroBatcher`]
-//!   full, with bounded admission budgets that shed load as structured
-//!   `"overloaded"` errors. The blocking [`Server`] remains available
-//!   behind `--io blocking` for A/B comparison.
+//!   shard workers, each scoring its drained group's `link_score`s in one
+//!   forward pass, with bounded admission budgets that shed load as
+//!   structured `"overloaded"` errors. The blocking [`Server`] remains
+//!   available behind `--io blocking` for A/B comparison.
 //!
 //! # Examples
 //!
@@ -52,7 +52,6 @@
 //! assert!(response.contains("\"ok\":true"));
 //! ```
 
-pub mod batcher;
 pub mod engine;
 pub mod json;
 pub mod metrics;
@@ -64,12 +63,11 @@ pub mod service;
 pub mod shard;
 pub mod store;
 
-pub use batcher::{BatchPolicy, MicroBatcher};
 pub use engine::{QueryEngine, QueryError};
 pub use metrics::Metrics;
 pub use reactor::{ReactorConfig, ReactorServer};
 pub use refresh::Refresher;
 pub use server::Server;
-pub use service::Service;
+pub use service::{BatchPolicy, Service};
 pub use shard::ShardPool;
 pub use store::{EmbeddingStore, ModelSnapshot};

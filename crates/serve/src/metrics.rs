@@ -26,8 +26,8 @@ pub enum OpKind {
 }
 
 /// Aggregated serving counters. All methods take `&self`; the struct is
-/// shared across connection handlers, the micro-batcher, and the
-/// refresher via `Arc`.
+/// shared across connection handlers, shard workers, and the refresher
+/// via `Arc`.
 #[derive(Debug)]
 pub struct Metrics {
     start: Instant,
@@ -87,7 +87,8 @@ impl Metrics {
         self.latency_max_us.fetch_max(us, Ordering::Relaxed);
     }
 
-    /// Records one micro-batched forward pass covering `size` requests.
+    /// Records one `link_score` forward pass covering `size` requests
+    /// (a lone request is a pass of one).
     pub fn record_batch(&self, size: usize) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_requests.fetch_add(size as u64, Ordering::Relaxed);

@@ -2,8 +2,8 @@
 //! workers, explicit admission control.
 //!
 //! The blocking server ([`crate::Server`]) parks one thread per
-//! connection, so connection count — not CPU — caps throughput, and a
-//! growing batcher queue has no backpressure. This module replaces the
+//! connection, so connection count — not CPU — caps throughput, and
+//! nothing bounds the work queued behind it. This module replaces the
 //! front end with a reactor (DESIGN.md §15):
 //!
 //! - **One event loop** (`epoll`, raw syscalls in [`sys`] following the
@@ -14,9 +14,10 @@
 //!   boundaries and resume partial writes when send buffers fill.
 //! - **Shard workers** ([`crate::shard`]) own disjoint consistent-hash
 //!   ranges of the request key space. The reactor parses on the loop and
-//!   submits; a worker drains its queue in one gulp and pushes all the
-//!   `link_score`s through one pipelined micro-batcher submission, so
-//!   the GEMM coalescer fills from every connection at once.
+//!   submits; a worker drains its queue in one gulp and scores all the
+//!   `link_score`s in it with one forward pass on its own thread, so a
+//!   group fills from every connection at once and a lone request waits
+//!   for nothing.
 //! - **Admission control**: each shard queues at most a budget of
 //!   pending requests; past it the reactor answers
 //!   `{"ok":false,"error":"overloaded"}` immediately instead of

@@ -1,24 +1,38 @@
 //! Request dispatch: protocol lines in, protocol lines out.
 //!
 //! [`Service`] ties the subsystem together — store, query engine,
-//! micro-batcher, metrics, and (optionally) the background refresher —
-//! behind one transport-agnostic entry point, [`Service::handle_line`].
-//! The TCP server is a thin loop around it, and tests can exercise the
-//! whole protocol without a socket.
+//! metrics, and (optionally) the background refresher — behind one
+//! transport-agnostic entry point, [`Service::handle_line`]. The TCP
+//! server is a thin loop around it, and tests can exercise the whole
+//! protocol without a socket.
+//!
+//! Every `link_score` is scored on the thread that already holds it: a
+//! blocking connection handler scores its one request inline, and a
+//! shard worker scores its whole drained group in one forward pass
+//! ([`Service::respond_batch`]). Nothing waits for company.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use par::ParConfig;
 use rwalk_core::{IncrementalEmbedder, ServeStats};
+use tgraph::NodeId;
 
-use crate::batcher::{BatchPolicy, MicroBatcher};
+use crate::engine::{score_pairs, QueryError};
 use crate::json::{obj, Json};
 use crate::metrics::{Metrics, OpKind};
 use crate::protocol::{error_response, ok_response, parse_request, Request};
 use crate::refresh::Refresher;
 use crate::store::EmbeddingStore;
 use crate::QueryEngine;
+
+/// Retained only so existing callers of [`Service::new`] keep compiling.
+/// `link_score`s are scored on the thread that holds them, so there is
+/// no batching policy left to set. The benchmark harness (`benchmark/`)
+/// still passes `BatchPolicy::default()`; the type goes when that
+/// harness next changes (ROADMAP item 12).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BatchPolicy {}
 
 /// Per-op request-latency histograms, resolved once at construction so
 /// the request path never touches the registry's shard locks.
@@ -59,36 +73,26 @@ impl OpLatency {
 pub struct Service {
     store: Arc<EmbeddingStore>,
     engine: QueryEngine,
-    batcher: MicroBatcher,
     metrics: Arc<Metrics>,
     registry: Arc<obs::Registry>,
     latency: OpLatency,
-    // Same series the micro-batcher reports into; the direct batch path
-    // in `respond_batch` records its forward-pass sizes here too.
+    // One sample per `link_score` forward pass: how many pairs it scored.
     batch_sizes: Arc<obs::Histogram>,
     refresher: Option<Refresher>,
 }
 
 impl Service {
     /// Builds the stack over `store`: a query engine with `par`
-    /// parallelism for scans and a micro-batcher with `policy`. Each
-    /// service owns its own metrics registry (scraped via the `metrics`
-    /// op or `GET /metrics`), isolated from the process-global one.
-    pub fn new(store: Arc<EmbeddingStore>, par: ParConfig, policy: BatchPolicy) -> Self {
+    /// parallelism for scans. Each service owns its own metrics registry
+    /// (scraped via the `metrics` op or `GET /metrics`), isolated from
+    /// the process-global one.
+    pub fn new(store: Arc<EmbeddingStore>, par: ParConfig, _policy: BatchPolicy) -> Self {
         let metrics = Arc::new(Metrics::new());
         let registry = Arc::new(obs::Registry::new());
-        let rec = obs::Recorder::with_registry(Arc::clone(&registry));
         let engine = QueryEngine::new(Arc::clone(&store), par);
-        let batcher = MicroBatcher::with_observability(
-            Arc::clone(&store),
-            Arc::clone(&metrics),
-            policy,
-            rec.gauge("serve_batcher_queue_depth"),
-            rec.histogram("serve_batch_size"),
-        );
         let latency = OpLatency::resolve(&registry);
         let batch_sizes = registry.histogram("serve_batch_size");
-        Self { store, engine, batcher, metrics, registry, latency, batch_sizes, refresher: None }
+        Self { store, engine, metrics, registry, latency, batch_sizes, refresher: None }
     }
 
     /// Attaches a background refresher, enabling the `ingest` op. The
@@ -110,19 +114,13 @@ impl Service {
         &self.store
     }
 
-    /// The micro-batcher (exposed for benchmarking the batched path
-    /// without going through the protocol layer).
-    pub fn batcher(&self) -> &MicroBatcher {
-        &self.batcher
-    }
-
     /// Current serving counters.
     pub fn stats(&self) -> ServeStats {
         self.metrics.snapshot(self.store.version())
     }
 
-    /// The service's metrics registry (per-op latency histograms,
-    /// batcher queue depth and batch sizes).
+    /// The service's metrics registry (per-op latency histograms and
+    /// forward-pass sizes).
     pub fn registry(&self) -> &Arc<obs::Registry> {
         &self.registry
     }
@@ -168,14 +166,9 @@ impl Service {
     }
 
     /// Dispatches a slice of requests drained together by one shard
-    /// worker, scoring all their `link_score`s in one batched forward
-    /// pass — this is how a shard worker keeps the GEMM amortization of
-    /// the micro-batcher while holding work from many connections at
-    /// once. The drained queue *is* the batch, so the pass runs right
-    /// here on the worker thread: routing it through the micro-batcher's
-    /// scorer thread would only add two handoffs and up to a full linger
-    /// window of latency for a batch that is already complete. Responses
-    /// come back in `requests` order.
+    /// worker, scoring all their `link_score`s in one forward pass on the
+    /// calling thread, a group of one included. The drained queue *is*
+    /// the batch. Responses come back in `requests` order.
     pub fn respond_batch(&self, requests: Vec<Request>) -> Vec<String> {
         let mut pairs = Vec::new();
         let mut slots = Vec::new();
@@ -186,28 +179,17 @@ impl Service {
             }
         }
         let mut out: Vec<Option<String>> = (0..requests.len()).map(|_| None).collect();
-        // A lone link_score gains nothing from a one-element forward
-        // pass; let it ride the shared micro-batcher below, where it can
-        // coalesce with other shards' and transports' traffic.
-        if pairs.len() >= 2 {
+        if !pairs.is_empty() {
             let started = Instant::now();
-            let snap = self.store.load();
-            let results = crate::engine::score_pairs(&snap, &pairs);
-            self.metrics.record_batch(pairs.len());
-            self.batch_sizes.record(pairs.len() as u64);
+            let (results, version) = self.score(&pairs);
             // Every request in the group waited for the whole forward
             // pass, so the group latency is each request's latency.
             let elapsed = started.elapsed();
             for (&slot, result) in slots.iter().zip(results) {
-                let ok = result.is_ok();
-                out[slot] = Some(match result {
-                    Ok(score) => {
-                        ok_response(vec![("score", Json::Num(f64::from(score)))], snap.version)
-                    }
-                    Err(e) => error_response(&e.to_string()),
-                });
-                self.metrics.record(OpKind::LinkScore, elapsed, ok);
+                let reply = score_reply(result, version);
+                self.metrics.record(OpKind::LinkScore, elapsed, reply.is_ok());
                 self.latency.for_op(OpKind::LinkScore).record_duration(elapsed);
+                out[slot] = Some(reply.unwrap_or_else(|message| error_response(&message)));
             }
         }
         requests
@@ -217,14 +199,23 @@ impl Service {
             .collect()
     }
 
+    /// Scores `pairs` in one forward pass against the current snapshot
+    /// and records the pass. Returns per-pair results and the version
+    /// that produced them.
+    fn score(&self, pairs: &[(NodeId, NodeId)]) -> (Vec<Result<f32, QueryError>>, u64) {
+        let snap = self.store.load();
+        let results = score_pairs(&snap, pairs);
+        self.metrics.record_batch(pairs.len());
+        self.batch_sizes.record(pairs.len() as u64);
+        (results, snap.version)
+    }
+
     fn dispatch(&self, request: Request) -> (OpKind, Result<String, String>) {
         match request {
             Request::LinkScore { u, v } => {
-                let (result, version) = self.batcher.score(u, v);
-                let outcome = result
-                    .map(|score| ok_response(vec![("score", Json::Num(f64::from(score)))], version))
-                    .map_err(|e| e.to_string());
-                (OpKind::LinkScore, outcome)
+                let (mut results, version) = self.score(&[(u, v)]);
+                let result = results.pop().expect("one pair in, one result out");
+                (OpKind::LinkScore, score_reply(result, version))
             }
             Request::Embedding { u } => {
                 let outcome = self
@@ -295,6 +286,13 @@ impl Service {
     }
 }
 
+/// The protocol reply to one scored pair.
+fn score_reply(result: Result<f32, QueryError>, version: u64) -> Result<String, String> {
+    result
+        .map(|score| ok_response(vec![("score", Json::Num(f64::from(score)))], version))
+        .map_err(|e| e.to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,8 +341,8 @@ mod tests {
         assert!(text.contains("# TYPE serve_request_ns histogram"), "missing TYPE line:\n{text}");
         assert!(text.contains(r#"serve_request_ns_count{op="link_score"} 1"#), "{text}");
         assert!(text.contains(r#"serve_request_ns_count{op="topk"} 1"#), "{text}");
-        assert!(text.contains("serve_batcher_queue_depth 0"), "{text}");
-        assert!(text.contains(r#"serve_batch_size_count"#), "{text}");
+        // The lone link_score was one forward pass of one pair.
+        assert!(text.contains("serve_batch_size_count 1"), "{text}");
         // Exposition-format sanity: every non-comment line is `name value`
         // with a parseable numeric value.
         for line in text.lines().filter(|l| !l.starts_with('#') && !l.is_empty()) {
@@ -392,5 +390,22 @@ mod tests {
         // The service keeps answering after errors.
         let again = Json::parse(&svc.handle_line(r#"{"op":"link_score","u":1,"v":2}"#)).unwrap();
         assert_eq!(again.get("ok"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn lone_link_scores_wait_for_nothing() {
+        // Scored on the calling thread, 1 000 sequential requests take a
+        // few ms even unoptimized. Any per-request linger of 100 µs or
+        // more would push the loop past 100 ms.
+        let svc = service();
+        let started = Instant::now();
+        for i in 0..1000u32 {
+            let line = format!(r#"{{"op":"link_score","u":{},"v":{}}}"#, i % 12, (i * 5 + 1) % 12);
+            assert!(svc.handle_line(&line).starts_with(r#"{"ok":true"#));
+        }
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_millis(100), "1 000 link_scores took {elapsed:?}");
+        let stats = svc.stats();
+        assert_eq!((stats.batches, stats.mean_batch), (1000, 1.0), "one pass per request");
     }
 }

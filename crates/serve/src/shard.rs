@@ -14,10 +14,10 @@
 //! past saturation, at the price of explicit errors the client can retry.
 //!
 //! A worker drains whatever is queued (up to the budget) in one gulp and
-//! dispatches it through [`Service::respond_batch`], so concurrent
-//! `link_score`s from *all* connections coalesce into one pipelined
-//! micro-batcher submission — the reactor-mode answer to the blocking
-//! server's thread-per-connection batching.
+//! dispatches it through [`Service::respond_batch`], so the `link_score`s
+//! that queued up from *all* connections meanwhile are scored in one
+//! forward pass on the worker's own thread. A lone request is a group of
+//! one and waits for nothing.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -244,6 +244,7 @@ mod tests {
     use nn::{Mlp, OutputHead};
     use par::ParConfig;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
     use std::time::Duration;
 
     fn service() -> Arc<Service> {
@@ -253,11 +254,7 @@ mod tests {
         let emb = EmbeddingMatrix::from_vec(n, d, data);
         let store =
             Arc::new(EmbeddingStore::new(emb, Mlp::new(&[2 * d, 8, 1], OutputHead::Binary, 7)));
-        Arc::new(Service::new(
-            store,
-            ParConfig::with_threads(1),
-            BatchPolicy { max_batch: 8, max_wait: Duration::from_micros(100) },
-        ))
+        Arc::new(Service::new(store, ParConfig::with_threads(1), BatchPolicy::default()))
     }
 
     #[test]
@@ -319,25 +316,47 @@ mod tests {
     fn budget_exhaustion_refuses_submission() {
         let svc = service();
         let completions = Arc::new(CompletionQueue::new());
-        // One shard with budget 2: a tight submit loop outruns the
-        // worker, so pushes beyond the budget must come back as Err.
-        let pool = ShardPool::new(&svc, &completions, Arc::new(|| {}), 1, 2);
+        // The single worker parks inside its first `wake` call, after it
+        // has drained and answered the first job, until it is released.
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let gate = Mutex::new(Some((parked_tx, release_rx)));
+        let wake = move || {
+            let first = gate.lock().expect("gate lock poisoned").take();
+            if let Some((parked, release)) = first {
+                let _ = parked.send(());
+                // Returns on release, or when the test drops the sender.
+                let _ = release.recv();
+            }
+        };
+        let budget = 2;
+        let pool = ShardPool::new(&svc, &completions, Arc::new(wake), 1, budget);
+        // Declared after the pool so that a failing assertion drops it
+        // first and frees the parked worker before the pool joins it.
+        let release_tx = release_tx;
+        let request = |seq: u64| Request::LinkScore { u: (seq % 16) as u32, v: 3 };
+        pool.try_submit(Job { conn: 0, seq: 0, request: request(0) }).expect("empty queue");
+        parked_rx.recv_timeout(Duration::from_secs(10)).expect("worker never parked");
+
+        // Nothing drains the queue now, so exactly `budget` jobs fit.
         let mut accepted = 0;
         let mut shed = 0;
-        for seq in 0..200u64 {
-            // link_score keeps the worker busy for at least the batcher's
-            // linger window, so a tight submit loop must outrun it.
-            let request = Request::LinkScore { u: (seq % 16) as u32, v: ((seq + 3) % 16) as u32 };
-            match pool.try_submit(Job { conn: seq, seq, request }) {
+        for seq in 1..=200u64 {
+            match pool.try_submit(Job { conn: seq, seq, request: request(seq) }) {
                 Ok(()) => accepted += 1,
-                Err(_) => shed += 1,
+                Err(job) => {
+                    assert_eq!(job.seq, seq, "a refused job comes back unchanged");
+                    shed += 1;
+                }
             }
         }
-        assert_eq!(accepted + shed, 200);
-        // With budget 2 and a single worker racing a tight submit loop,
-        // some requests must be shed.
-        assert!(shed > 0, "expected shedding with budget 2, got none in 200");
+        assert_eq!(accepted, budget);
+        assert_eq!(shed, 200 - budget);
         let depth = svc.registry().snapshot().gauge("serve_shard_queue_depth{shard=\"0\"}");
-        assert!(depth.unwrap_or(0) <= 2, "queue depth exceeded budget: {depth:?}");
+        assert_eq!(depth, Some(budget as i64));
+
+        release_tx.send(()).expect("worker is parked");
+        drop(pool); // drains the queued jobs and joins the worker
+        assert_eq!(completions.drain().len(), 1 + budget);
     }
 }

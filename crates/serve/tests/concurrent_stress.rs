@@ -83,12 +83,8 @@ fn queries_stay_consistent_while_refreshes_publish() {
     let mlp = Mlp::new(&[2 * emb.dim(), 8, 1], OutputHead::Binary, hp.seed);
     let store = Arc::new(EmbeddingStore::new(emb, mlp));
     let service = Arc::new(
-        Service::new(
-            Arc::clone(&store),
-            ParConfig::with_threads(2),
-            BatchPolicy { max_batch: 16, max_wait: Duration::from_micros(100) },
-        )
-        .with_refresher(embedder, Duration::from_millis(5)),
+        Service::new(Arc::clone(&store), ParConfig::with_threads(2), BatchPolicy::default())
+            .with_refresher(embedder, Duration::from_millis(5)),
     );
 
     let stop = Arc::new(AtomicBool::new(false));
