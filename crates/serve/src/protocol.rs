@@ -15,6 +15,14 @@
 //! Successful responses carry `"ok":true` plus the payload and the
 //! snapshot `"version"` that answered them; failures carry `"ok":false`
 //! and a human-readable `"error"` — and never terminate the connection.
+//!
+//! `ingest` may add vertices, but only densely. Let `known` be the larger
+//! of the served node count and one past the largest endpoint any earlier
+//! accepted `ingest` named. A request whose edge has an endpoint at or
+//! past `known + 2 × edges.len()` is refused whole, with an error that
+//! names the edge (`edges[i] [src, dst]: ...`), and none of its edges are
+//! queued. Without the bound one edge to node 4 294 967 295 would make
+//! the next refresh size its tables for 2³² vertices.
 
 use tgraph::{NodeId, TemporalEdge};
 

@@ -22,6 +22,9 @@ use crate::store::EmbeddingStore;
 
 struct RefreshState {
     inbox: Vec<TemporalEdge>,
+    // One past the largest endpoint accepted so far; with the served
+    // node count it sets how far the next batch may grow the graph.
+    accepted_nodes: u64,
     stop: bool,
 }
 
@@ -34,6 +37,7 @@ struct RefreshShared {
 /// most one in-flight refresh) and joins the thread.
 pub struct Refresher {
     shared: Arc<RefreshShared>,
+    store: Arc<EmbeddingStore>,
     worker: Option<thread::JoinHandle<()>>,
 }
 
@@ -58,10 +62,11 @@ impl Refresher {
         interval: Duration,
     ) -> Self {
         let shared = Arc::new(RefreshShared {
-            state: Mutex::new(RefreshState { inbox: Vec::new(), stop: false }),
+            state: Mutex::new(RefreshState { inbox: Vec::new(), accepted_nodes: 0, stop: false }),
             wake: Condvar::new(),
         });
         let worker_shared = Arc::clone(&shared);
+        let worker_store = Arc::clone(&store);
         let worker = thread::Builder::new()
             .name("rwserve-refresh".to_string())
             .spawn(move || loop {
@@ -86,24 +91,46 @@ impl Refresher {
                 // keep reading the old snapshot, ingestion keeps queueing.
                 embedder.ingest(pending);
                 let emb = embedder.refresh().clone();
-                store.publish_embedding(emb);
+                worker_store.publish_embedding(emb);
                 metrics.record_refresh();
             })
             .expect("spawn refresh thread");
-        Self { shared, worker: Some(worker) }
+        Self { shared, store, worker: Some(worker) }
     }
 
     /// Queues edges for the next refresh cycle and wakes the loop.
     /// Returns how many edges were queued.
-    pub fn enqueue<I: IntoIterator<Item = TemporalEdge>>(&self, edges: I) -> usize {
+    ///
+    /// # Errors
+    ///
+    /// Refuses the whole batch, naming the first offending edge, when an
+    /// endpoint is at or past `known + 2 × edges.len()`, where `known` is
+    /// the larger of the served node count and one past the largest
+    /// endpoint accepted so far. New vertices must arrive densely, so one
+    /// request cannot make the next refresh allocate for millions of ids.
+    pub fn enqueue(&self, edges: Vec<TemporalEdge>) -> Result<usize, String> {
         let mut state = self.shared.state.lock().expect("refresh lock poisoned");
-        let before = state.inbox.len();
+        let known = (self.store.load().emb.num_nodes() as u64).max(state.accepted_nodes);
+        let limit = known + 2 * edges.len() as u64;
+        let mut top = 0;
+        for (i, e) in edges.iter().enumerate() {
+            let far = e.src.max(e.dst);
+            if u64::from(far) >= limit {
+                return Err(format!(
+                    "edges[{i}] [{}, {}]: node id {far} is past the growth limit {limit} \
+                     ({known} known nodes + 2 per edge in the request)",
+                    e.src, e.dst
+                ));
+            }
+            top = top.max(u64::from(far) + 1);
+        }
+        state.accepted_nodes = state.accepted_nodes.max(top);
+        let added = edges.len();
         state.inbox.extend(edges);
-        let added = state.inbox.len() - before;
         if added > 0 {
             self.shared.wake.notify_one();
         }
-        added
+        Ok(added)
     }
 }
 
@@ -143,7 +170,7 @@ mod tests {
             Duration::from_millis(500), // long: the enqueue wake must drive it
         );
         let n = store.load().emb.num_nodes() as u32;
-        assert_eq!(refresher.enqueue([TemporalEdge::new(0, n, 2.0)]), 1);
+        assert_eq!(refresher.enqueue(vec![TemporalEdge::new(0, n, 2.0)]), Ok(1));
         let deadline = Instant::now() + Duration::from_secs(30);
         while store.version() < 2 {
             assert!(Instant::now() < deadline, "refresh never published");
@@ -170,7 +197,7 @@ mod tests {
         let metrics = Arc::new(Metrics::new());
         let refresher =
             Refresher::spawn(Arc::clone(&store), embedder, metrics, Duration::from_secs(60));
-        refresher.enqueue([TemporalEdge::new(1, 2, 2.5)]);
+        refresher.enqueue(vec![TemporalEdge::new(1, 2, 2.5)]).expect("known nodes");
         drop(refresher); // joins; the queued edge must not be lost
         assert!(store.version() >= 2, "queued edge dropped at shutdown");
     }

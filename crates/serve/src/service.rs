@@ -246,13 +246,12 @@ impl Service {
             }
             Request::Ingest { edges } => {
                 let outcome = match &self.refresher {
-                    Some(refresher) => {
-                        let queued = refresher.enqueue(edges);
-                        Ok(ok_response(
+                    Some(refresher) => refresher.enqueue(edges).map(|queued| {
+                        ok_response(
                             vec![("queued", Json::Num(queued as f64))],
                             self.store.version(),
-                        ))
-                    }
+                        )
+                    }),
                     None => Err("ingest unavailable: server has no refresher".to_string()),
                 };
                 (OpKind::Ingest, outcome)
@@ -407,5 +406,51 @@ mod tests {
         assert!(elapsed < Duration::from_millis(100), "1 000 link_scores took {elapsed:?}");
         let stats = svc.stats();
         assert_eq!((stats.batches, stats.mean_batch), (1000, 1.0), "one pass per request");
+    }
+
+    /// A service over a 120-node graph with a live refresher.
+    fn ingesting_service() -> (Service, Arc<EmbeddingStore>) {
+        let g = tgraph::gen::preferential_attachment(120, 2, 5).undirected(true).build();
+        let hp = rwalk_core::Hyperparams::paper_optimal().quick_test();
+        let mut embedder = IncrementalEmbedder::new(hp.clone(), &g);
+        let emb = embedder.refresh().clone();
+        let mlp = Mlp::new(&[2 * emb.dim(), 8, 1], OutputHead::Binary, hp.seed);
+        let store = Arc::new(EmbeddingStore::new(emb, mlp));
+        let svc =
+            Service::new(Arc::clone(&store), ParConfig::with_threads(2), BatchPolicy::default())
+                .with_refresher(embedder, Duration::from_secs(60));
+        (svc, store)
+    }
+
+    #[test]
+    fn ingest_refuses_a_sparse_endpoint_and_queues_nothing() {
+        let (svc, store) = ingesting_service();
+        let line = format!(r#"{{"op":"ingest","edges":[[0,1,2.0],[0,{},2.0]]}}"#, u32::MAX);
+        let v = Json::parse(&svc.handle_line(&line)).unwrap();
+        assert_eq!(v.get("ok"), Some(&Json::Bool(false)), "{v}");
+        let error = v.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.starts_with("edges[1] [0, 4294967295]"), "{error}");
+        assert!(error.contains("growth limit 124"), "{error}");
+        // Dropping the service joins the refresher after it has processed
+        // everything queued; the refused batch must not have been.
+        drop(svc);
+        assert_eq!(store.version(), 1);
+        assert_eq!(store.load().emb.num_nodes(), 120);
+    }
+
+    #[test]
+    fn ingest_accepts_dense_growth_across_requests_before_a_publish() {
+        let (svc, store) = ingesting_service();
+        // 120 known nodes and one edge allow ids below 122.
+        let first = svc.handle_line(r#"{"op":"ingest","edges":[[0,121,2.0]]}"#);
+        assert!(first.starts_with(r#"{"ok":true"#), "{first}");
+        // Node 121 is now known whether or not a refresh has published
+        // it, so one more edge reaches 122.
+        let second = svc.handle_line(r#"{"op":"ingest","edges":[[121,122,2.0]]}"#);
+        assert!(second.starts_with(r#"{"ok":true"#), "{second}");
+        let third = svc.handle_line(r#"{"op":"ingest","edges":[[122,125,2.0]]}"#);
+        assert!(third.contains("edges[0] [122, 125]"), "{third}");
+        drop(svc);
+        assert_eq!(store.load().emb.num_nodes(), 123);
     }
 }
