@@ -33,11 +33,6 @@ fn main() {
     let walks = generate_walks_prepared(&d.graph, &walk_cfg, &sampler, &ParConfig::default());
 
     println!("(threads available on this machine: {avail})");
-    // The engine knob defaults to Auto; print what it resolves to on this
-    // graph so scaling rows are attributable to a concrete engine.
-    let resolved =
-        twalk::resolved_engine(&d.graph, &walk_cfg, &sampler, n * walk_cfg.walks_per_node);
-    println!("(walk engine: {} resolves to {resolved})", walk_cfg.engine);
     println!("| threads | rwalk time (s) | rwalk speedup | w2v time (s) | w2v speedup |");
     println!("|---|---|---|---|---|");
     let mut rwalk_base = None;

@@ -5,8 +5,8 @@
 //! synthetic captures); this binary is the argv/IO/exit-code wrapper.
 //!
 //! Tracked rows are the serving closed-loop latencies
-//! (`serve/loadgen/closed/*`) and the walk-engine comparison
-//! (`rwalk/engine/*`). For the `p50_p95_p99` latency rows the gated
+//! (`serve/loadgen/closed/*`) and the walk kernel on its two paths
+//! (`rwalk/walks/*`). For the `p50_p95_p99` latency rows the gated
 //! metric is the p99 (the `max_ns` field); for everything else it is the
 //! min-of-N (`min_ns`), which is the noise-robust statistic every
 //! custom-harness gate in this repo already keys on.

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use rwserve::json::Json;
 
 /// Bench-row prefixes under trend protection.
-pub const TRACKED: [&str; 2] = ["serve/loadgen/closed/", "rwalk/engine/"];
+pub const TRACKED: [&str; 2] = ["serve/loadgen/closed/", "rwalk/walks/"];
 
 /// Default regression threshold (percent) when none is configured.
 pub const DEFAULT_MAX_PCT: f64 = 25.0;
@@ -150,22 +150,22 @@ mod tests {
 
     #[test]
     fn regression_beyond_threshold_fires() {
-        let baseline = capture(&[("rwalk/engine/batched", 100_000, 200_000)]);
+        let baseline = capture(&[("rwalk/walks/pa150k", 100_000, 200_000)]);
         // +26% on the min-of-N statistic: just past the 25% gate.
-        let fresh = capture(&[("rwalk/engine/batched", 126_000, 130_000)]);
+        let fresh = capture(&[("rwalk/walks/pa150k", 126_000, 130_000)]);
         let outcome = evaluate(&baseline, &fresh, DEFAULT_MAX_PCT);
         assert!(outcome.failed());
         let r: Vec<_> = outcome.regressions().collect();
         assert_eq!(r.len(), 1);
-        assert_eq!(r[0].id, "rwalk/engine/batched");
+        assert_eq!(r[0].id, "rwalk/walks/pa150k");
         assert_eq!(r[0].which, "min");
         assert!((r[0].delta_pct - 26.0).abs() < 1e-9);
     }
 
     #[test]
     fn regression_within_threshold_passes() {
-        let baseline = capture(&[("rwalk/engine/batched", 100_000, 0)]);
-        let fresh = capture(&[("rwalk/engine/batched", 124_000, 0)]);
+        let baseline = capture(&[("rwalk/walks/pa150k", 100_000, 0)]);
+        let fresh = capture(&[("rwalk/walks/pa150k", 124_000, 0)]);
         let outcome = evaluate(&baseline, &fresh, DEFAULT_MAX_PCT);
         assert!(!outcome.failed());
         assert_eq!(outcome.compared.len(), 1);
@@ -190,12 +190,12 @@ mod tests {
 
     #[test]
     fn new_and_gone_rows_are_reported_but_never_gated() {
-        let baseline = capture(&[("rwalk/engine/gone_bench", 100, 100)]);
-        let fresh = capture(&[("rwalk/engine/new_bench", 1_000_000, 1_000_000)]);
+        let baseline = capture(&[("rwalk/walks/gone_bench", 100, 100)]);
+        let fresh = capture(&[("rwalk/walks/new_bench", 1_000_000, 1_000_000)]);
         let outcome = evaluate(&baseline, &fresh, DEFAULT_MAX_PCT);
         assert!(!outcome.failed(), "one-sided rows must not gate");
-        assert_eq!(outcome.new_rows, vec!["rwalk/engine/new_bench"]);
-        assert_eq!(outcome.gone_rows, vec!["rwalk/engine/gone_bench"]);
+        assert_eq!(outcome.new_rows, vec!["rwalk/walks/new_bench"]);
+        assert_eq!(outcome.gone_rows, vec!["rwalk/walks/gone_bench"]);
         assert!(outcome.compared.is_empty());
     }
 
@@ -212,16 +212,16 @@ mod tests {
 
     #[test]
     fn custom_threshold_is_respected() {
-        let baseline = capture(&[("rwalk/engine/batched", 100_000, 0)]);
-        let fresh = capture(&[("rwalk/engine/batched", 110_000, 0)]);
+        let baseline = capture(&[("rwalk/walks/pa150k", 100_000, 0)]);
+        let fresh = capture(&[("rwalk/walks/pa150k", 110_000, 0)]);
         assert!(evaluate(&baseline, &fresh, 5.0).failed());
         assert!(!evaluate(&baseline, &fresh, 15.0).failed());
     }
 
     #[test]
     fn warn_only_downgrades_regressions_to_reports() {
-        let baseline = capture(&[("rwalk/engine/batched", 100_000, 0)]);
-        let fresh = capture(&[("rwalk/engine/batched", 200_000, 0)]);
+        let baseline = capture(&[("rwalk/walks/pa150k", 100_000, 0)]);
+        let fresh = capture(&[("rwalk/walks/pa150k", 200_000, 0)]);
         let outcome = evaluate(&baseline, &fresh, DEFAULT_MAX_PCT);
         assert!(outcome.failed(), "the regression is still detected and reported");
         assert!(outcome.should_fail_build(false));
@@ -235,9 +235,9 @@ mod tests {
     #[test]
     fn parse_rows_handles_json_lines() {
         let text = concat!(
-            r#"{"bench":"rwalk/engine/a","min_ns":10,"max_ns":20}"#,
+            r#"{"bench":"rwalk/walks/a","min_ns":10,"max_ns":20}"#,
             "\n\n",
-            r#"{"bench":"rwalk/engine/a","min_ns":30,"max_ns":40}"#,
+            r#"{"bench":"rwalk/walks/a","min_ns":30,"max_ns":40}"#,
             "\n",
             r#"{"bench":"other","min_ns":1,"max_ns":2}"#,
             "\n",
@@ -245,8 +245,8 @@ mod tests {
         let rows = parse_rows(text).expect("parse");
         assert_eq!(rows.len(), 2);
         // Last write wins for duplicate ids.
-        assert_eq!(rows["rwalk/engine/a"].min_ns, 30);
-        assert_eq!(rows["rwalk/engine/a"].max_ns, 40);
+        assert_eq!(rows["rwalk/walks/a"].min_ns, 30);
+        assert_eq!(rows["rwalk/walks/a"].max_ns, 40);
     }
 
     #[test]
@@ -260,8 +260,8 @@ mod tests {
 
     #[test]
     fn zero_baseline_does_not_divide_by_zero() {
-        let baseline = capture(&[("rwalk/engine/x", 0, 0)]);
-        let fresh = capture(&[("rwalk/engine/x", 1_000, 0)]);
+        let baseline = capture(&[("rwalk/walks/x", 0, 0)]);
+        let fresh = capture(&[("rwalk/walks/x", 1_000, 0)]);
         let outcome = evaluate(&baseline, &fresh, DEFAULT_MAX_PCT);
         assert!(outcome.compared[0].delta_pct.is_finite());
         assert!(outcome.failed());

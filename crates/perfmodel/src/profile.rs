@@ -545,7 +545,8 @@ mod tests {
     #[test]
     fn word2vec_mix_balances_memory_and_compute() {
         let g = pa_graph();
-        let walks = twalk::generate_walks_serial(&g, &WalkConfig::new(2, 6));
+        let cfg = WalkConfig::new(2, 6);
+        let walks = twalk::generate_walks_serial(&g, &cfg, &cfg.sampler.prepare(&g));
         let p = profile_word2vec(&walks, 8, 5, 5, g.num_nodes(), &ProfileOptions::default());
         let mix = p.ops.mix();
         assert!(mix.memory > 0.25, "memory {}", mix.memory);

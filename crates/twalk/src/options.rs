@@ -1,11 +1,10 @@
 //! One bundle for every walk knob: [`WalkOptions`].
 //!
 //! The knobs used to sprawl — `WalkConfig` for the kernel,
-//! `TransitionSampler::prepare` for the tables, engine and threshold
-//! setters on downstream `Hyperparams` — and adding per-vertex sampling
-//! methods would have scattered three more. `WalkOptions` gathers the
-//! whole surface (kernel shape × sampler bias × method policy × engine
-//! choice) behind one builder with a single [`WalkOptions::validate`]
+//! `TransitionSampler::prepare` for the tables — and adding per-vertex
+//! sampling methods would have scattered three more. `WalkOptions`
+//! gathers the whole surface (kernel shape × sampler bias × method
+//! policy) behind one builder with a single [`WalkOptions::validate`]
 //! authority for cross-knob rules, and projects it back out as the
 //! narrow types each layer consumes: [`WalkOptions::config`] for the
 //! kernel, [`WalkOptions::sampler_builder`] for table construction, or
@@ -16,8 +15,7 @@ use tgraph::{NodeId, TemporalGraph, Time};
 
 use crate::sampler::{PreparedSampler, SamplerBuilder, SamplingMethod, DEFAULT_ALIAS_DEGREE};
 use crate::{
-    generate_walks_from_prepared, generate_walks_prepared, TransitionSampler, WalkConfig,
-    WalkEngine, WalkSet,
+    generate_walks_from_prepared, generate_walks_prepared, TransitionSampler, WalkConfig, WalkSet,
 };
 
 /// Every knob of a bulk walk run, in one place.
@@ -31,13 +29,12 @@ use crate::{
 /// # Examples
 ///
 /// ```
-/// use twalk::{SamplingMethod, TransitionSampler, WalkEngine, WalkOptions};
+/// use twalk::{SamplingMethod, TransitionSampler, WalkOptions};
 ///
 /// let g = tgraph::gen::preferential_attachment(400, 3, 7).undirected(true).build();
 /// let opts = WalkOptions::new(4, 6)
 ///     .sampler(TransitionSampler::Softmax)
 ///     .sampler_method(SamplingMethod::Auto)
-///     .engine(WalkEngine::Interleaved)
 ///     .seed(11);
 /// let walks = opts.generate(&g, &par::ParConfig::with_threads(2));
 /// assert_eq!(walks.num_walks(), 4 * g.num_nodes());
@@ -52,12 +49,6 @@ pub struct WalkOptions {
     pub sampler: TransitionSampler,
     /// Per-vertex sampling method policy for the weighted biases.
     pub sampler_method: SamplingMethod,
-    /// Execution strategy for the bulk kernels.
-    pub engine: WalkEngine,
-    /// In-flight walks per worker for [`WalkEngine::Interleaved`].
-    pub ring: usize,
-    /// [`WalkEngine::Auto`] working-set threshold (bytes).
-    pub auto_llc_bytes: usize,
     /// RNG seed; walks are deterministic in this seed.
     pub seed: u64,
     /// Earliest admissible first-hop timestamp.
@@ -73,7 +64,7 @@ pub struct WalkOptions {
 
 impl WalkOptions {
     /// Creates options with the given `K` and `N` and every other knob
-    /// at its default (uniform bias, `Auto` method, `Auto` engine).
+    /// at its default (uniform bias, `Auto` method).
     ///
     /// # Panics
     ///
@@ -86,9 +77,6 @@ impl WalkOptions {
             max_length,
             sampler: cfg.sampler,
             sampler_method: SamplingMethod::default(),
-            engine: cfg.engine,
-            ring: cfg.ring,
-            auto_llc_bytes: cfg.auto_llc_bytes,
             seed: cfg.seed,
             start_time: cfg.start_time,
             respect_time: cfg.respect_time,
@@ -132,28 +120,6 @@ impl WalkOptions {
         self
     }
 
-    /// Sets the execution strategy.
-    #[must_use]
-    pub fn engine(mut self, engine: WalkEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Sets the interleaved engine's ring size. Panics if zero.
-    #[must_use]
-    pub fn ring(mut self, ring: usize) -> Self {
-        assert!(ring >= 1, "the walk ring needs at least one slot");
-        self.ring = ring;
-        self
-    }
-
-    /// Overrides the [`WalkEngine::Auto`] working-set threshold (bytes).
-    #[must_use]
-    pub fn auto_llc_bytes(mut self, bytes: usize) -> Self {
-        self.auto_llc_bytes = bytes;
-        self
-    }
-
     /// Sets the RNG seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
@@ -192,11 +158,8 @@ impl WalkOptions {
     /// Rejects invalid knob combinations with a message fit for CLI
     /// errors. Currently: a forced table method
     /// ([`SamplingMethod::Cdf`] excepted, since it degrades gracefully
-    /// to "no tables needed") on a closed-form bias, and an empty ring.
+    /// to "no tables needed") on a closed-form bias.
     pub fn validate(&self) -> Result<(), String> {
-        if self.ring == 0 {
-            return Err("walk ring must have at least one slot".into());
-        }
         match (self.sampler_method, self.sampler) {
             (SamplingMethod::Auto | SamplingMethod::Cdf, _) => Ok(()),
             (_, TransitionSampler::Softmax | TransitionSampler::SoftmaxRecency) => Ok(()),
@@ -214,9 +177,6 @@ impl WalkOptions {
             .seed(self.seed)
             .start_time(self.start_time)
             .respect_time(self.respect_time)
-            .engine(self.engine)
-            .auto_llc_bytes(self.auto_llc_bytes)
-            .ring(self.ring)
     }
 
     /// Projects the sampler-facing knobs into a [`SamplerBuilder`];
@@ -275,9 +235,6 @@ mod tests {
         let opts = WalkOptions::new(3, 7)
             .sampler(TransitionSampler::SoftmaxRecency)
             .sampler_method(SamplingMethod::Alias)
-            .engine(WalkEngine::Interleaved)
-            .ring(8)
-            .auto_llc_bytes(123)
             .seed(99)
             .start_time(0.25)
             .respect_time(false)
@@ -287,9 +244,6 @@ mod tests {
         assert_eq!(cfg.walks_per_node, 3);
         assert_eq!(cfg.max_length, 7);
         assert_eq!(cfg.sampler, TransitionSampler::SoftmaxRecency);
-        assert_eq!(cfg.engine, WalkEngine::Interleaved);
-        assert_eq!(cfg.ring, 8);
-        assert_eq!(cfg.auto_llc_bytes, 123);
         assert_eq!(cfg.seed, 99);
         assert_eq!(cfg.start_time, 0.25);
         assert!(!cfg.respect_time);

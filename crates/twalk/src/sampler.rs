@@ -808,7 +808,7 @@ impl PreparedSampler {
 
     /// Warms the table-index entries (`starts` bounds, method byte) that
     /// [`Self::prefetch`] must read before it can compute table-line
-    /// addresses — the sampler half of the engines' CSR-offsets stage.
+    /// addresses — the sampler half of the ring's CSR-offsets stage.
     /// Prefetches never fault, so no bounds check. A no-op for
     /// table-free samplers.
     #[inline]
@@ -819,7 +819,7 @@ impl PreparedSampler {
     }
 
     /// Hints the CPU to pull `v`'s table slice toward L1 — the sampler
-    /// half of the batched/interleaved engines' segment prefetch. A
+    /// half of the interleaved ring's segment prefetch. A
     /// no-op for table-free samplers and methods.
     ///
     /// # Panics

@@ -93,7 +93,8 @@ mod tests {
         // The Fig. 4 reproduction in miniature: on a power-law temporal
         // graph, most walks terminate quickly.
         let g = tgraph::gen::preferential_attachment(2_000, 2, 9).undirected(true).build();
-        let walks = generate_walks_serial(&g, &WalkConfig::new(5, 40).seed(1));
+        let cfg = WalkConfig::new(5, 40).seed(1);
+        let walks = generate_walks_serial(&g, &cfg, &cfg.sampler.prepare(&g));
         let stats = length_stats(&walks);
         assert!(
             stats.short_fraction > 0.5,

@@ -104,8 +104,10 @@ fn static_walks_ignore_temporal_dead_ends() {
         .add_edge(tgraph::TemporalEdge::new(0, 1, 0.9))
         .add_edge(tgraph::TemporalEdge::new(1, 2, 0.1))
         .build();
-    let temporal = generate_walks_serial(&g, &WalkConfig::new(1, 5).seed(1));
-    let static_ = generate_walks_serial(&g, &WalkConfig::new(1, 5).seed(1).respect_time(false));
+    let cfg = WalkConfig::new(1, 5).seed(1);
+    let prepared = cfg.sampler.prepare(&g);
+    let temporal = generate_walks_serial(&g, &cfg, &prepared);
+    let static_ = generate_walks_serial(&g, &cfg.respect_time(false), &prepared);
     assert_eq!(temporal.walk(0), &[0, 1]);
     assert_eq!(static_.walk(0), &[0, 1, 2]);
 }

@@ -58,7 +58,8 @@ fn table3_crossover_gpu_wins_only_at_scale() {
 fn fig11_stall_shapes_match_paper() {
     let g = study_graph();
     let opts = ProfileOptions::default();
-    let walks = generate_walks_serial(&g, &WalkConfig::new(3, 6).seed(3));
+    let cfg = WalkConfig::new(3, 6).seed(3);
+    let walks = generate_walks_serial(&g, &cfg, &cfg.sampler.prepare(&g));
 
     let walk =
         profile_walk(&g, &WalkConfig::new(5, 6).sampler(TransitionSampler::Softmax).seed(1), &opts);
@@ -96,7 +97,8 @@ fn batching_speedup_curve_is_monotone_and_saturating() {
     // The Fig. 5 mechanism, on modeled GPU times derived from a real
     // corpus profile.
     let g = study_graph();
-    let walks = generate_walks_serial(&g, &WalkConfig::new(5, 6).seed(4));
+    let cfg = WalkConfig::new(5, 6).seed(4);
+    let walks = generate_walks_serial(&g, &cfg, &cfg.sampler.prepare(&g));
     let p = profile_word2vec(&walks, 8, 5, 5, g.num_nodes(), &ProfileOptions::default());
     let gpu = GpuModel::ampere();
     let corpus_bytes = (walks.total_vertices() * 4) as f64;

@@ -58,7 +58,7 @@ fn every_walk_is_temporally_valid() {
         let k = rng.gen_range(1..4usize);
         let n = rng.gen_range(1..10usize);
         let cfg = WalkConfig::new(k, n).sampler(sampler).seed(seed);
-        let walks = generate_walks_serial(&g, &cfg);
+        let walks = generate_walks_serial(&g, &cfg, &cfg.sampler.prepare(&g));
         assert_eq!(walks.num_walks(), k * g.num_nodes());
         for w in walks.iter() {
             assert!(!w.is_empty());
@@ -77,7 +77,7 @@ fn thread_count_does_not_change_walks() {
         let seed = rng.gen_range(0..1000u64);
         let threads = rng.gen_range(2..6usize);
         let cfg = WalkConfig::new(3, 6).sampler(sampler).seed(seed);
-        let serial = generate_walks_serial(&g, &cfg);
+        let serial = generate_walks_serial(&g, &cfg, &cfg.sampler.prepare(&g));
         let parallel =
             generate_walks(&g, &cfg, &par::ParConfig::with_threads(threads).chunk_size(5));
         assert_eq!(serial, parallel, "thread count changed walks in case {case}");
@@ -90,7 +90,7 @@ fn walk_histogram_accounts_for_every_walk() {
         let mut rng = StdRng::seed_from_u64(case ^ 0x9157);
         let g = random_graph(&mut rng);
         let cfg = WalkConfig::new(2, 8).seed(rng.gen_range(0..100u64));
-        let walks = generate_walks_serial(&g, &cfg);
+        let walks = generate_walks_serial(&g, &cfg, &cfg.sampler.prepare(&g));
         let hist = walks.length_histogram();
         assert_eq!(hist.iter().sum::<u64>() as usize, walks.num_walks());
         assert_eq!(hist[0], 0); // no zero-length walks
@@ -108,7 +108,7 @@ fn walks_only_visit_temporally_reachable_vertices() {
         // oracle for the walk engine: every vertex any walk visits must
         // be temporally reachable from its source.
         let cfg = WalkConfig::new(3, 8).seed(rng.gen_range(0..200u64));
-        let walks = generate_walks_serial(&g, &cfg);
+        let walks = generate_walks_serial(&g, &cfg, &cfg.sampler.prepare(&g));
         let n = g.num_nodes();
         let source = rng.gen_range(0..n as u32);
         let reachable: std::collections::HashSet<u32> =
