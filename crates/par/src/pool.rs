@@ -13,8 +13,8 @@ use crate::ParConfig;
 /// in this crate, exposed so callers can drive the worker loop themselves:
 /// a worker that pulls chunks via [`ChunkQueue::next_chunk`] keeps its own
 /// per-thread scratch state alive *across* chunks, which per-chunk closure
-/// APIs like [`parallel_chunks`] cannot express. The batched walk engine
-/// relies on this to reuse its frontier-grouping arenas between blocks.
+/// APIs like [`parallel_chunks`] cannot express. The walk kernel's ring
+/// relies on this to keep its in-flight walks between blocks.
 ///
 /// A chunk size of zero is clamped to one, mirroring
 /// [`ParConfig::chunk_size`]'s documented policy.
@@ -79,8 +79,8 @@ impl ChunkQueue {
 ///
 /// Unlike [`parallel_chunks`], the worker closure is entered *once per
 /// thread*, so scratch buffers allocated at the top of `worker` persist
-/// across all chunks that thread processes — the pattern the batched walk
-/// engine uses for its grouping arenas.
+/// across all chunks that thread processes — the pattern the walk
+/// kernel's ring uses for its in-flight walk state.
 ///
 /// With one effective thread the worker runs inline on the caller's
 /// thread (no spawn).

@@ -2,7 +2,7 @@
 //!
 //! The walk kernel's dominant cost on large graphs is the dependent random
 //! load into each step's neighbor segment (the paper's §VI stall
-//! analysis). The batched walk engine hides that latency by issuing
+//! analysis). The walk kernel's ring hides that latency by issuing
 //! prefetches for segments it will touch a few iterations ahead; this
 //! module provides the single primitive it needs.
 //!
