@@ -7,9 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use par::ParConfig;
 use std::hint::black_box;
-use twalk::{
-    generate_walks, generate_walks_prepared, SamplerBuilder, TransitionSampler, WalkConfig,
-};
+use twalk::{generate_walks, generate_walks_prepared, TransitionSampler, WalkConfig};
 
 fn bench_walks_per_node(c: &mut Criterion) {
     let g = tgraph::gen::preferential_attachment(10_000, 3, 1).undirected(true).build();
@@ -84,14 +82,12 @@ fn bench_walks(c: &mut Criterion) {
     // K = 10, N = 6, 4 threads, sampler preparation hoisted out of the
     // timed region. PA 150k m = 3 undirected (mean degree ~8) outgrows a
     // small LLC, so it runs on the ring; PA 10k m = 3 fits, so it runs
-    // the per-walk loop. The `pa150k+alias` row pairs the ring with the
-    // builder's Auto method policy (hub alias tables).
+    // the per-walk loop.
     let big = tgraph::gen::preferential_attachment(150_000, 3, 9).undirected(true).build();
     let small = tgraph::gen::preferential_attachment(10_000, 3, 5).undirected(true).build();
     let base = WalkConfig::new(10, 6).sampler(TransitionSampler::Softmax).seed(9);
     let rows = [
         ("pa150k", &big, base.sampler.prepare(&big)),
-        ("pa150k+alias", &big, SamplerBuilder::new(base.sampler).build(&big)),
         ("pa10k", &small, base.sampler.prepare(&small)),
     ];
     let par = ParConfig::with_threads(4).chunk_size(64);

@@ -5,11 +5,9 @@
 //! rwalk linkpred  [--dataset NAME | --wel FILE] [--scale S] [--walks K]
 //!                 [--len N] [--dim D] [--threads T] [--gpu] [--seed X]
 //!                 [--sampler uniform|softmax|recency|linear] [--static]
-//!                 [--sampler-method auto|cdf|alias|rejection]
 //! rwalk nodeclass [--dataset NAME] [--scale S] [--walks K] [--len N]
 //!                 [--dim D] [--threads T] [--gpu] [--seed X]
 //!                 [--sampler uniform|softmax|recency|linear] [--static]
-//!                 [--sampler-method auto|cdf|alias|rejection]
 //! rwalk sweep     [--dataset NAME] [--scale S]   # Fig. 8 mini-sweep
 //! rwalk profile   [--dataset NAME] [--scale S]   # instruction mix + stalls
 //! rwalk serve     [--dataset NAME | --wel FILE | --graph-store FILE]
@@ -25,12 +23,8 @@
 //!
 //! `--sampler` selects the walk transition bias (default `softmax`, the
 //! paper's Eq. 1); `--static` ignores timestamps entirely — the static
-//! DeepWalk baseline. `--sampler-method` selects the per-vertex
-//! transition-sampling method (default `auto`; every method draws from
-//! the same distribution, so it is a pure performance knob). Forcing a
-//! table method (`alias`, `rejection`) on a closed-form bias (`uniform`,
-//! `linear`) is rejected at parse time. `--scale`, `--walks`, `--len`,
-//! and `--dim` must be positive.
+//! DeepWalk baseline. `--scale`, `--walks`, `--len`, and `--dim` must be
+//! positive.
 //!
 //! Every command additionally accepts `--metrics-out <path>`: it enables
 //! the process-global metrics recorder and, after the command succeeds,
@@ -60,7 +54,7 @@
 use std::process::ExitCode;
 
 use rwalk_core::{Backend, EmbeddingStrategy, Hyperparams, Pipeline};
-use twalk::{SamplingMethod, TransitionSampler};
+use twalk::TransitionSampler;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -135,7 +129,6 @@ struct Options {
     seed: u64,
     gpu: bool,
     sampler: TransitionSampler,
-    sampler_method: SamplingMethod,
     static_walks: bool,
     port: u16,
     refresh_ms: u64,
@@ -165,7 +158,6 @@ impl Options {
             seed: 42,
             gpu: false,
             sampler: TransitionSampler::Softmax,
-            sampler_method: SamplingMethod::Auto,
             static_walks: false,
             port: 7878,
             refresh_ms: 1_000,
@@ -204,11 +196,6 @@ impl Options {
                 "--gpu" => o.gpu = true,
                 "--sampler" => {
                     o.sampler = val("--sampler")?.parse().map_err(|e| format!("--sampler: {e}"))?
-                }
-                "--sampler-method" => {
-                    o.sampler_method = val("--sampler-method")?
-                        .parse()
-                        .map_err(|e| format!("--sampler-method: {e}"))?
                 }
                 "--static" => o.static_walks = true,
                 "--port" => o.port = val("--port")?.parse().map_err(|e| format!("--port: {e}"))?,
@@ -279,13 +266,6 @@ impl Options {
         if o.wel.is_some() && o.graph_store.is_some() {
             return Err("--wel and --graph-store are mutually exclusive graph sources".into());
         }
-        // Cross-flag rules (e.g. `--sampler-method alias` needs a weighted
-        // `--sampler`) live in WalkOptions::validate, the single authority
-        // also used by library callers.
-        twalk::WalkOptions::new(o.walks, o.len)
-            .sampler(o.sampler)
-            .sampler_method(o.sampler_method)
-            .validate()?;
         Ok(o)
     }
 
@@ -302,7 +282,6 @@ impl Options {
             .with_threads(self.threads)
             .with_seed(self.seed)
             .with_sampler(self.sampler)
-            .with_sampler_method(self.sampler_method)
             .with_strategy(strategy)
     }
 
@@ -601,9 +580,8 @@ fn cmd_pack(o: &Options) -> Result<(), String> {
 
     if let Some(path) = &o.graph_out {
         // Pack the graph together with the sampler tables the configured
-        // bias/method policy would build, so opening skips preparation too.
-        let prepared =
-            twalk::SamplerBuilder::new(o.sampler).method(o.sampler_method).build(&d.graph);
+        // bias would build, so opening skips preparation too.
+        let prepared = o.sampler.prepare(&d.graph);
         let t0 = std::time::Instant::now();
         let bytes =
             store::pack_graph_to_path(std::path::Path::new(path), &d.graph, Some(&prepared))
@@ -674,10 +652,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
                     3 => "recency".to_string(),
                     other => format!("unknown({other})"),
                 };
-                println!(
-                    "sampler: {bias} (cdf={}, alias={}, rejection={} vertices)",
-                    s[3], s[4], s[5]
-                );
+                println!("sampler: {bias} (cdf={}, rejection={} vertices)", s[3], s[4]);
             } else {
                 println!("sampler: none packed");
             }

@@ -24,16 +24,11 @@ fn rejected_flag_combinations_fail_with_explanations() {
         (&["linkpred", "--sampler", "sofmax"], "uniform, softmax, recency"),
         (&["linkpred", "--sampler", ""], "valid values"),
         (&["nodeclass", "--dataset", "dblp3", "--sampler", "temporal"], "unknown sampler"),
-        (&["linkpred", "--sampler-method", "vose"], "unknown sampling method"),
-        (&["linkpred", "--sampler-method", "vose"], "auto, cdf, alias, rejection"),
         // The fused walk→train pipeline is gone, and its flag with it;
-        // so is the walk engine knob.
+        // so are the walk engine and sampling method knobs.
         (&["linkpred", "--fused", "on"], "unknown flag"),
         (&["linkpred", "--engine", "auto"], "unknown flag"),
-        // Forcing a table method on a closed-form bias is a cross-flag
-        // error caught at parse time, whichever order the flags come in.
-        (&["linkpred", "--sampler", "uniform", "--sampler-method", "alias"], "closed form"),
-        (&["linkpred", "--sampler-method", "rejection", "--sampler", "linear"], "closed form"),
+        (&["linkpred", "--sampler-method", "cdf"], "unknown flag \"--sampler-method\""),
         // Degenerate numeric values are rejected with the flag named.
         (&["linkpred", "--scale", "0"], "--scale"),
         (&["linkpred", "--scale", "-1"], "--scale"),
@@ -130,8 +125,7 @@ fn accepted_spellings_are_case_and_separator_insensitive() {
     for args in [
         ["datasets", "--sampler", "SOFTMAX"],
         ["datasets", "--sampler", "linear_time"],
-        ["datasets", "--sampler-method", "ALIAS"],
-        ["datasets", "--sampler-method", " Rejection "],
+        ["datasets", "--sampler", " Recency "],
     ] {
         let out = rwalk(&args);
         assert!(out.status.success(), "rwalk {args:?} failed: {}", stderr(&out));

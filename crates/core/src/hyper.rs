@@ -1,6 +1,6 @@
 //! Pipeline hyperparameters.
 
-use twalk::{SamplingMethod, TransitionSampler, WalkOptions};
+use twalk::TransitionSampler;
 
 /// How node embeddings are produced (phases 1–2).
 ///
@@ -53,10 +53,6 @@ pub struct Hyperparams {
     pub dim: usize,
     /// Walk transition probability model.
     pub sampler: TransitionSampler,
-    /// Per-vertex sampling method policy for the weighted samplers
-    /// (a pure performance knob; every method draws from the same
-    /// analytic distribution).
-    pub sampler_method: SamplingMethod,
     /// word2vec skip-gram window.
     pub window: usize,
     /// word2vec negative samples.
@@ -101,7 +97,6 @@ impl Hyperparams {
             walk_length: 6,
             dim: 8,
             sampler: TransitionSampler::Softmax,
-            sampler_method: SamplingMethod::Auto,
             window: 5,
             negatives: 5,
             w2v_epochs: 3,
@@ -179,15 +174,6 @@ impl Hyperparams {
         self
     }
 
-    /// Sets the per-vertex sampling method policy; flows into
-    /// [`Self::walk_options`] and from there through `Pipeline` and
-    /// `IncrementalEmbedder`.
-    #[must_use]
-    pub fn with_sampler_method(mut self, method: SamplingMethod) -> Self {
-        self.sampler_method = method;
-        self
-    }
-
     /// Sets the embedding strategy (paper method vs baselines).
     #[must_use]
     pub fn with_strategy(mut self, strategy: EmbeddingStrategy) -> Self {
@@ -212,19 +198,11 @@ impl Hyperparams {
         .chunk_size(64)
     }
 
-    /// The full walk-options bundle this setting implies; the single
-    /// source for both the kernel configuration and the sampler builder.
-    pub fn walk_options(&self) -> WalkOptions {
-        WalkOptions::new(self.walks_per_node, self.walk_length)
-            .sampler(self.sampler)
-            .sampler_method(self.sampler_method)
-            .seed(self.seed)
-    }
-
-    /// The walk configuration this setting implies (the kernel-facing
-    /// projection of [`Self::walk_options`]).
+    /// The walk configuration this setting implies.
     pub fn walk_config(&self) -> twalk::WalkConfig {
-        self.walk_options().config()
+        twalk::WalkConfig::new(self.walks_per_node, self.walk_length)
+            .sampler(self.sampler)
+            .seed(self.seed)
     }
 
     /// The word2vec configuration this setting implies.
@@ -275,18 +253,6 @@ mod tests {
         assert_eq!(hp.walk_config().walks_per_node, 10);
         assert_eq!(hp.walk_config().seed, 9);
         assert_eq!(hp.train_options().epochs, hp.train_epochs);
-    }
-
-    #[test]
-    fn sampler_method_flows_into_walk_options() {
-        let hp = Hyperparams::paper_optimal();
-        assert_eq!(hp.walk_options().sampler_method, SamplingMethod::Auto);
-        let hp = hp.with_sampler_method(SamplingMethod::Alias);
-        let opts = hp.walk_options();
-        assert_eq!(opts.sampler_method, SamplingMethod::Alias);
-        assert_eq!(opts.sampler, hp.sampler);
-        assert_eq!(opts.seed, hp.seed);
-        assert!(opts.validate().is_ok());
     }
 
     #[test]

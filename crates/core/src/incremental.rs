@@ -40,8 +40,6 @@ use crate::Hyperparams;
 pub struct RefreshSamplerStats {
     /// Vertices sampled from inverse-CDF tables.
     pub cdf_vertices: usize,
-    /// Vertices sampled from alias tables.
-    pub alias_vertices: usize,
     /// Vertices (the churned set) sampled by bounded rejection.
     pub rejection_vertices: usize,
 }
@@ -121,12 +119,11 @@ impl IncrementalEmbedder {
         let csr = self.graph.to_csr();
         let par = self.hp.par_config();
         let seed_bump = self.refreshes as u64;
-        let opts = self.hp.walk_options().seed(self.hp.seed.wrapping_add(seed_bump));
-        let walk_cfg = opts.config();
+        let walk_cfg = self.hp.walk_config().seed(self.hp.seed.wrapping_add(seed_bump));
 
         match self.emb.take() {
             None => {
-                let sampler = opts.prepare(&csr);
+                let sampler = walk_cfg.sampler.prepare(&csr);
                 self.last_sampler = method_counts(&sampler);
                 let walks = generate_walks_prepared(&csr, &walk_cfg, &sampler, &par);
                 self.graph.take_dirty();
@@ -138,10 +135,10 @@ impl IncrementalEmbedder {
                 // rebuilt — but one build now covers every dirty vertex's
                 // walks instead of paying direct evaluation per step. The
                 // dirty vertices themselves are churning under ingest, so
-                // the builder routes them to table-free bounded rejection
-                // instead of rebuilding tables that the next batch would
-                // invalidate again.
-                let sampler = opts.sampler_builder().churned(dirty.iter().copied()).build(&csr);
+                // they sample by table-free bounded rejection instead of
+                // rebuilding tables that the next batch would invalidate
+                // again.
+                let sampler = walk_cfg.sampler.prepare_churned(&csr, &dirty);
                 self.last_sampler = method_counts(&sampler);
                 let walks = generate_walks_from_prepared(&csr, &walk_cfg, &sampler, &dirty, &par);
                 if walks.num_walks() == 0 {
@@ -171,11 +168,7 @@ impl IncrementalEmbedder {
 
 fn method_counts(sampler: &twalk::PreparedSampler) -> RefreshSamplerStats {
     let s = sampler.stats();
-    RefreshSamplerStats {
-        cdf_vertices: s.cdf_vertices,
-        alias_vertices: s.alias_vertices,
-        rejection_vertices: s.rejection_vertices,
-    }
+    RefreshSamplerStats { cdf_vertices: s.cdf_vertices, rejection_vertices: s.rejection_vertices }
 }
 
 #[cfg(test)]

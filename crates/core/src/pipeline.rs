@@ -98,9 +98,11 @@ impl Pipeline {
     pub fn walks(&self, g: &TemporalGraph) -> WalkSet {
         let par = self.hp.par_config();
         match self.hp.strategy {
-            crate::EmbeddingStrategy::TemporalWalks => self.hp.walk_options().generate(g, &par),
+            crate::EmbeddingStrategy::TemporalWalks => {
+                twalk::generate_walks(g, &self.hp.walk_config(), &par)
+            }
             crate::EmbeddingStrategy::StaticDeepWalk => {
-                self.hp.walk_options().respect_time(false).generate(g, &par)
+                twalk::generate_walks(g, &self.hp.walk_config().respect_time(false), &par)
             }
             crate::EmbeddingStrategy::SnapshotDeepWalk { snapshots } => {
                 let snapshots = snapshots.max(1);
@@ -113,15 +115,12 @@ impl Pipeline {
                 for s in 1..=snapshots {
                     let t = lo + (hi - lo) * s as f64 / snapshots as f64;
                     let snap = g.snapshot_until(t);
-                    // Each snapshot is its own graph, so `generate` builds
-                    // each one its own prepared sampler.
-                    let walks = self
-                        .hp
-                        .walk_options()
-                        .walks_per_node(k)
+                    // Each snapshot is its own graph, so `generate_walks`
+                    // builds each one its own prepared sampler.
+                    let cfg = twalk::WalkConfig { walks_per_node: k, ..self.hp.walk_config() }
                         .seed(self.hp.seed.wrapping_add(s as u64))
-                        .respect_time(false)
-                        .generate(&snap, &par);
+                        .respect_time(false);
+                    let walks = twalk::generate_walks(&snap, &cfg, &par);
                     all.append_set(&walks);
                 }
                 all.build()
@@ -551,12 +550,10 @@ mod tests {
         let mut expected: Vec<Vec<tgraph::NodeId>> = Vec::new();
         for s in 1..=3usize {
             let t = lo + (hi - lo) * s as f64 / 3.0;
-            let walks = hp
-                .walk_options()
-                .walks_per_node(k)
+            let cfg = twalk::WalkConfig { walks_per_node: k, ..hp.walk_config() }
                 .seed(hp.seed.wrapping_add(s as u64))
-                .respect_time(false)
-                .generate(&g.snapshot_until(t), &par);
+                .respect_time(false);
+            let walks = twalk::generate_walks(&g.snapshot_until(t), &cfg, &par);
             expected.extend(walks.iter().map(<[tgraph::NodeId]>::to_vec));
         }
         assert_eq!(got, twalk::WalkSet::from_walks(&expected, hp.walk_length));

@@ -117,13 +117,10 @@ impl TaskReport {
                     b.table_bytes as f64 / 1024.0,
                     b.build_time.as_secs_f64(),
                 ));
-                if b.alias_vertices > 0 || b.rejection_vertices > 0 {
+                if b.rejection_vertices > 0 {
                     s.push_str(&format!(
-                        " (cdf {}, alias {} in {:.1} KiB, rejection {})",
-                        b.cdf_vertices,
-                        b.alias_vertices,
-                        b.alias_bytes as f64 / 1024.0,
-                        b.rejection_vertices,
+                        " (cdf {}, rejection {})",
+                        b.cdf_vertices, b.rejection_vertices,
                     ));
                 }
             }

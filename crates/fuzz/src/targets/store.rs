@@ -33,10 +33,9 @@ fn graph_image() -> &'static [u8] {
     static IMAGE: OnceLock<Vec<u8>> = OnceLock::new();
     IMAGE.get_or_init(|| {
         let g = tgraph::gen::preferential_attachment(24, 3, 5).undirected(true).build();
-        let prepared = twalk::SamplerBuilder::new(twalk::TransitionSampler::Softmax)
-            .method(twalk::SamplingMethod::Auto)
-            .alias_degree_threshold(6)
-            .build(&g);
+        // Churned vertices put the method map (`smth`) beside the CDF
+        // sections.
+        let prepared = twalk::TransitionSampler::Softmax.prepare_churned(&g, &[0, 5, 9]);
         let mut cur = Cursor::new(Vec::new());
         store::pack_graph(&mut cur, &g, Some(&prepared)).expect("pack graph");
         cur.into_inner()

@@ -17,11 +17,12 @@ pub enum StoreError {
         /// The first 8 bytes actually found.
         found: [u8; 8],
     },
-    /// The format version is newer than this reader understands.
+    /// The header's format version is not the one this build reads
+    /// (older or newer).
     UnsupportedVersion {
         /// Version stamped in the header.
         found: u32,
-        /// Latest version this build reads.
+        /// The only version this build reads.
         supported: u32,
     },
     /// The endianness marker does not decode — the file was written on
@@ -123,7 +124,10 @@ impl fmt::Display for StoreError {
                 write!(f, "not a store file: magic bytes {found:02x?}")
             }
             StoreError::UnsupportedVersion { found, supported } => {
-                write!(f, "store format version {found} is newer than supported {supported}")
+                write!(
+                    f,
+                    "store format version {found} is not supported (this build reads version {supported})"
+                )
             }
             StoreError::Endianness { found } => {
                 write!(f, "endianness marker {found:#018x} does not decode on this machine")

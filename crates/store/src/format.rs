@@ -28,8 +28,10 @@ pub const MAGIC: [u8; 8] = *b"RWSTORE\0";
 /// agree on byte order.
 pub const ENDIAN_MARK: u64 = 0x0123_4567_89AB_CDEF;
 
-/// Current (and only) format version this build writes.
-pub const FORMAT_VERSION: u32 = 1;
+/// The one format version this build writes and reads. Version 2
+/// dropped the alias-table sections and the `alias_vertices` word of the
+/// graph artifact's sampler meta (see [`crate::pack_graph`]).
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Header size in bytes; also the offset of the first section.
 pub const HEADER_LEN: usize = 64;

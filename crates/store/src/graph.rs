@@ -11,17 +11,16 @@
 //! | `gdst` | u32  | CSR destination node ids, `m` entries             |
 //! | `gtim` | f64  | CSR edge timestamps (IEEE-754 bits), `m` entries  |
 //! | `smet` | u64  | sampler meta (present iff a sampler was packed)   |
-//! | `smth` | u8   | per-vertex method bytes (weighted, adaptive only) |
+//! | `smth` | u8   | per-vertex method bytes (weighted, churned only)  |
 //! | `scst` | u64  | CDF row starts, `n + 1` entries                   |
 //! | `scdf` | f64  | CDF cumulative weights                            |
-//! | `sast` | u64  | alias row starts, `n + 1` entries                 |
-//! | `sapr` | f64  | alias probabilities                               |
-//! | `sali` | u32  | alias indices (segment-local)                     |
 //!
 //! `smet` words: `[bias_tag, span_bits, has_methods, cdf_vertices,
-//! alias_vertices, rejection_vertices]`, with `bias_tag` 0 = uniform,
-//! 1 = linear-time, 2 = softmax, 3 = softmax-recency, and `span_bits`
-//! the `f64` bit pattern of the graph-wide span (0 for closed forms).
+//! rejection_vertices]`, with `bias_tag` 0 = uniform, 1 = linear-time,
+//! 2 = softmax, 3 = softmax-recency, and `span_bits` the `f64` bit
+//! pattern of the graph-wide span (0 for closed forms). Method bytes are
+//! 0 = CDF, 1 = rejection; `scst`/`scdf` are absent when every vertex
+//! samples by rejection.
 //!
 //! Opening reconstructs the graph through [`TemporalGraph::from_csr_parts`]
 //! and the sampler through [`PreparedSampler::from_weighted_tables`], so
@@ -98,15 +97,15 @@ pub fn pack_graph<W: Write + Seek>(
         match tables {
             SamplerTables::Uniform => {
                 w.begin_section("smet", 8)?;
-                w.write_u64s(&[BIAS_UNIFORM, 0, 0, 0, 0, 0])?;
+                w.write_u64s(&[BIAS_UNIFORM, 0, 0, 0, 0])?;
                 w.end_section()?;
             }
             SamplerTables::LinearTime => {
                 w.begin_section("smet", 8)?;
-                w.write_u64s(&[BIAS_LINEAR, 0, 0, 0, 0, 0])?;
+                w.write_u64s(&[BIAS_LINEAR, 0, 0, 0, 0])?;
                 w.end_section()?;
             }
-            SamplerTables::Weighted { recency, span, methods, cdf, alias } => {
+            SamplerTables::Weighted { recency, span, methods, cdf } => {
                 let bias_tag = if recency { BIAS_RECENCY } else { BIAS_SOFTMAX };
                 w.begin_section("smet", 8)?;
                 w.write_u64s(&[
@@ -114,7 +113,6 @@ pub fn pack_graph<W: Write + Seek>(
                     span.to_bits(),
                     methods.is_some() as u64,
                     stats.cdf_vertices as u64,
-                    stats.alias_vertices as u64,
                     stats.rejection_vertices as u64,
                 ])?;
                 w.end_section()?;
@@ -135,17 +133,6 @@ pub fn pack_graph<W: Write + Seek>(
                     w.end_section()?;
                     w.begin_section("scdf", 8)?;
                     w.write_f64s(weights)?;
-                    w.end_section()?;
-                }
-                if let Some((starts, prob, idx)) = alias {
-                    w.begin_section("sast", 8)?;
-                    w.write_usizes(starts)?;
-                    w.end_section()?;
-                    w.begin_section("sapr", 8)?;
-                    w.write_f64s(prob)?;
-                    w.end_section()?;
-                    w.begin_section("sali", 4)?;
-                    w.write_u32s(idx)?;
                     w.end_section()?;
                 }
             }
@@ -231,8 +218,8 @@ fn open_sampler(c: &Container, n: usize, m: usize) -> Result<PreparedSampler, St
     let invalid =
         |message: String| StoreError::Invalid { what: "sampler sections".into(), message };
     let meta = c.u64s("smet")?;
-    if meta.len() != 6 {
-        return Err(invalid(format!("sampler meta has {} words, expected 6", meta.len())));
+    if meta.len() != 5 {
+        return Err(invalid(format!("sampler meta has {} words, expected 5", meta.len())));
     }
     match meta[0] {
         BIAS_UNIFORM => {
@@ -264,19 +251,13 @@ fn open_sampler(c: &Container, n: usize, m: usize) -> Result<PreparedSampler, St
             } else {
                 None
             };
-            let alias = if c.has_section("sast") {
-                Some((c.usizes("sast")?, c.f64s("sapr")?, c.u32s("sali")?))
-            } else {
-                None
-            };
             let tables = WeightedTables {
                 recency: tag == BIAS_RECENCY,
                 span: f64::from_bits(meta[1]),
                 methods,
                 cdf,
-                alias,
             };
-            let counts = (meta[3] as usize, meta[4] as usize, meta[5] as usize);
+            let counts = (meta[3] as usize, meta[4] as usize);
             PreparedSampler::from_weighted_tables(tables, n, m, counts).map_err(invalid)
         }
         other => Err(invalid(format!("unknown bias tag {other}"))),
@@ -287,7 +268,6 @@ fn open_sampler(c: &Container, n: usize, m: usize) -> Result<PreparedSampler, St
 mod tests {
     use super::*;
     use std::io::Cursor;
-    use twalk::SamplerBuilder;
 
     fn small_graph() -> TemporalGraph {
         tgraph::gen::erdos_renyi(60, 400, 11).build()
@@ -329,16 +309,12 @@ mod tests {
     #[test]
     fn weighted_sampler_round_trips_with_stats() {
         let g = small_graph();
-        let prepared = SamplerBuilder::new(TransitionSampler::Softmax)
-            .method(SamplingMethod::Auto)
-            .alias_degree_threshold(8)
-            .build(&g);
+        let prepared = TransitionSampler::Softmax.prepare_churned(&g, &[0, 7, 30]);
         let stats = prepared.stats();
         let opened = open_graph_bytes(&pack_bytes(&g, Some(&prepared))).expect("open");
         let s = opened.sampler.expect("sampler present");
         let s2 = s.stats();
         assert_eq!(s2.cdf_vertices, stats.cdf_vertices);
-        assert_eq!(s2.alias_vertices, stats.alias_vertices);
         assert_eq!(s2.rejection_vertices, stats.rejection_vertices);
         assert_eq!(s2.table_bytes, stats.table_bytes);
     }
@@ -356,15 +332,9 @@ mod tests {
     #[test]
     fn corrupt_method_byte_is_a_structured_error() {
         let g = small_graph();
-        let prepared = SamplerBuilder::new(TransitionSampler::Softmax)
-            .method(SamplingMethod::Auto)
-            .alias_degree_threshold(8)
-            .build(&g);
+        let prepared = TransitionSampler::Softmax.prepare_churned(&g, &[3]);
         let bytes = pack_bytes(&g, Some(&prepared));
         let c = Container::from_bytes(&bytes).expect("container");
-        if !c.has_section("smth") {
-            return; // all-CDF compact layout on this graph; nothing to corrupt
-        }
         let off = c.sections().iter().find(|s| s.name_str() == "smth").expect("smth entry").offset
             as usize;
         drop(c);

@@ -6,7 +6,7 @@
 //!   optionally the prepared sampler tables built for it, so a run can
 //!   `open` instead of re-ingesting and re-preparing ([`open_graph`]).
 //! * **Sampler tables** — packed alongside their graph: CDF prefix
-//!   sums, alias tables, and the per-vertex method map, restored
+//!   sums and the per-vertex method map, restored
 //!   through validating constructors into a
 //!   [`twalk::PreparedSampler`].
 //! * **Model snapshots** — embedding table + link-FNN weights +

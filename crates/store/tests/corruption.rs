@@ -20,16 +20,14 @@ use std::io::Cursor;
 use store::format::{checksum64, Header, SectionEntry, HEADER_LEN, TOC_ENTRY_LEN};
 use store::{pack_graph, pack_snapshot, ArtifactKind, Container, StoreError, StoreWriter};
 
-/// A small but fully featured graph image (graph + adaptive sampler).
-/// Under miri the graph shrinks: the interpreter pays ~100× per
+/// A small but fully featured graph image: graph + a softmax sampler
+/// with three churned vertices, so it carries the method map (`smth`)
+/// beside the CDF sections. Under miri the graph shrinks: the interpreter pays ~100× per
 /// instruction and the corpus sweeps whole files repeatedly.
 fn graph_image() -> Vec<u8> {
     let (n, m) = if cfg!(miri) { (14, 2) } else { (40, 3) };
     let g = tgraph::gen::preferential_attachment(n, m, 5).undirected(true).build();
-    let prepared = twalk::SamplerBuilder::new(twalk::TransitionSampler::Softmax)
-        .method(twalk::SamplingMethod::Auto)
-        .alias_degree_threshold(6)
-        .build(&g);
+    let prepared = twalk::TransitionSampler::Softmax.prepare_churned(&g, &[0, 5, 9]);
     let mut cur = Cursor::new(Vec::new());
     pack_graph(&mut cur, &g, Some(&prepared)).expect("pack");
     cur.into_inner()
@@ -74,7 +72,10 @@ fn assert_rejected(bytes: &[u8], what: &str) -> StoreError {
 
 #[test]
 fn valid_images_open() {
-    assert!(Container::from_bytes(&graph_image()).is_ok());
+    let graph = Container::from_bytes(&graph_image()).expect("graph image");
+    for name in ["smet", "smth", "scst", "scdf"] {
+        assert!(graph.has_section(name), "graph image lacks {name}");
+    }
     assert!(Container::from_bytes(&snapshot_image()).is_ok());
     assert!(store::open_graph_bytes(&graph_image()).is_ok());
     assert!(store::open_snapshot_bytes(&snapshot_image()).is_ok());
@@ -181,6 +182,16 @@ fn forged_magic_version_endianness_and_kind_are_rejected() {
         }
         other => panic!("version: unexpected {other:?}"),
     }
+
+    // An older file is refused the same way, and the message does not
+    // call it newer.
+    let mut bad = image.clone();
+    forge_header(&mut bad, |h| h[16..20].copy_from_slice(&1u32.to_le_bytes()));
+    let err = assert_rejected(&bad, "old version");
+    assert!(matches!(err, StoreError::UnsupportedVersion { found: 1, .. }), "{err:?}");
+    let message = err.to_string();
+    assert!(!message.contains("newer"), "{message}");
+    assert!(message.contains("version 1") && message.contains("version 2"), "{message}");
 
     let mut bad = image.clone();
     forge_header(&mut bad, |h| h[20..24].copy_from_slice(&7u32.to_le_bytes()));
@@ -320,7 +331,7 @@ fn header_constants_are_pinned() {
     let image = graph_image();
     assert_eq!(&image[..8], b"RWSTORE\0");
     assert_eq!(u64::from_le_bytes(image[8..16].try_into().expect("8")), 0x0123_4567_89AB_CDEF);
-    assert_eq!(u32::from_le_bytes(image[16..20].try_into().expect("4")), 1);
+    assert_eq!(u32::from_le_bytes(image[16..20].try_into().expect("4")), 2);
     let h = Header::decode(&image).expect("header");
     assert_eq!(h.kind, ArtifactKind::Graph);
     // TOC entries decode with the pinned 40-byte stride.

@@ -61,10 +61,8 @@ impl std::str::FromStr for TransitionSampler {
 }
 
 /// Canonical spelling for enum parsing: trimmed, ASCII-lowercased, `_`
-/// mapped to `-` — one normalization shared by every `FromStr` in this
-/// crate (including [`crate::sampler::SamplingMethod`]) so no spelling
-/// variant can slip past one parser and into another.
-pub(crate) fn normalize(s: &str) -> String {
+/// mapped to `-`.
+fn normalize(s: &str) -> String {
     s.trim().to_ascii_lowercase().replace('_', "-")
 }
 

@@ -15,8 +15,8 @@
 //!
 //! 1. **Fetch** — issue software prefetches for the vertex of the slot
 //!    `LOOKAHEAD` positions ahead in the ring: the CSR segment
-//!    (timestamps + destinations) and the sampler's table slice for
-//!    whatever [`crate::SamplingMethod`] that vertex was assigned. The
+//!    (timestamps + destinations) and, for a CDF vertex, the sampler's
+//!    table slice. The
 //!    CSR *offsets* entry was already prefetched when that walk arrived
 //!    at the vertex (a prefetch cannot chase a pointer, so the offsets
 //!    load is warmed one stage earlier than the segment it unlocks).
@@ -188,8 +188,8 @@ struct RingStats {
     occupancy: HistogramHandle,
     sweeps: CounterHandle,
     blocks: CounterHandle,
-    /// Draws by resolved sampling method: `[cdf, alias, rejection]`.
-    draws: [CounterHandle; 3],
+    /// Draws by resolved sampling method: `[cdf, rejection]`.
+    draws: [CounterHandle; 2],
 }
 
 impl RingStats {
@@ -201,19 +201,9 @@ impl RingStats {
             blocks: rec.counter("twalk_ring_blocks_total"),
             draws: [
                 rec.counter("twalk_draws_total{method=\"cdf\"}"),
-                rec.counter("twalk_draws_total{method=\"alias\"}"),
                 rec.counter("twalk_draws_total{method=\"rejection\"}"),
             ],
         }
-    }
-}
-
-/// Index into [`RingStats::draws`] for a resolved method.
-fn method_slot(m: SamplingMethod) -> usize {
-    match m {
-        SamplingMethod::Alias => 1,
-        SamplingMethod::Rejection => 2,
-        _ => 0,
     }
 }
 
@@ -255,7 +245,7 @@ fn run_block(
 
         let record = stats.occupancy.is_enabled();
         let mut sweeps_local = 0u64;
-        let mut draws_local = [0u64; 3];
+        let mut draws_local = [0u64; 2];
         // Pipeline depth, clamped so the lookahead index stays in-ring
         // for degenerate ring sizes (ring = 1 collapses to
         // fetch-then-advance on the same visit).
@@ -302,7 +292,7 @@ fn run_block(
                     let pick = sampler.sample(v, times, lo, now, &mut *r.rng.add(slot));
                     if record {
                         if let Some(m) = sampler.method_of(v) {
-                            draws_local[method_slot(m)] += 1;
+                            draws_local[usize::from(m == SamplingMethod::Rejection)] += 1;
                         }
                     }
                     let next = dsts[pick];
@@ -395,7 +385,7 @@ unsafe fn seed_slot(
 mod tests {
     use super::*;
     use crate::engine::{serial, with_output};
-    use crate::{SamplerBuilder, TransitionSampler, WalkSet};
+    use crate::{TransitionSampler, WalkSet};
     use tgraph::{GraphBuilder, TemporalEdge};
 
     const BIASES: [TransitionSampler; 4] = [
@@ -419,13 +409,13 @@ mod tests {
         })
     }
 
-    /// The three sampler setups: the all-CDF `prepare`, the builder's
-    /// `Auto` policy with alias hubs, and a builder that sends every
-    /// third vertex to rejection as churned.
+    /// The three sampler setups: the all-CDF `prepare`, every third
+    /// vertex churned to rejection, and every vertex churned.
     fn setups(g: &TemporalGraph, bias: TransitionSampler) -> [PreparedSampler; 3] {
         let n = g.num_nodes() as NodeId;
-        let auto = SamplerBuilder::new(bias).alias_degree_threshold(8);
-        [bias.prepare(g), auto.build(g), auto.churned((0..n).step_by(3)).build(g)]
+        let third: Vec<NodeId> = (0..n).step_by(3).collect();
+        let all: Vec<NodeId> = (0..n).collect();
+        [bias.prepare(g), bias.prepare_churned(g, &third), bias.prepare_churned(g, &all)]
     }
 
     /// Asserts that the ring matches the serial oracle on a full run and

@@ -20,16 +20,17 @@
 //!   preferred;
 //! * [`TransitionSampler::LinearTime`] — CTDNE's linear rank bias.
 //!
-//! Sampling runs through a prepare-then-sample API: a [`SamplerBuilder`]
-//! (or the [`prepare`](TransitionSampler::prepare) shorthand) turns the
-//! configuration enum into a [`PreparedSampler`]. For the softmax variants
-//! the builder chooses a [`SamplingMethod`] per vertex — `O(log d)`
-//! inverse-CDF tables by default, `O(1)` alias tables for high-degree
-//! static hubs, bounded rejection for vertices churning under ingest —
-//! all drawing from the same analytic distribution; see the [`sampler`]
-//! module. The prepared sampler is built once per graph, shared read-only
-//! across worker threads, and reusable across bulk and incremental-refresh
-//! runs. Custom bias functions plug in via the [`TransitionBias`] trait.
+//! Sampling runs through a prepare-then-sample API:
+//! [`prepare`](TransitionSampler::prepare) turns the configuration enum
+//! into a [`PreparedSampler`]. The softmax variants sample every vertex
+//! through `O(log d)` inverse-CDF tables, except the vertices a refresh
+//! names as churned under ingest
+//! ([`prepare_churned`](TransitionSampler::prepare_churned)), which
+//! sample by bounded rejection from the same analytic distribution; see
+//! the [`sampler`] module. The prepared sampler is built once per graph,
+//! shared read-only across worker threads, and reusable across bulk and
+//! incremental-refresh runs. Custom bias functions plug in via the
+//! [`TransitionBias`] trait.
 //!
 //! The middle loop over vertices is parallelized with work stealing, exactly
 //! as the paper found optimal, and results are deterministic in the seed
@@ -43,10 +44,6 @@
 //! them at explicit fetch/advance stage boundaries so prefetches overlap
 //! with useful work. Both produce the output of the serial oracle
 //! [`generate_walks_serial`], bit for bit.
-//!
-//! For call sites that would otherwise thread knobs through several of
-//! these types, [`WalkOptions`] bundles the whole surface (kernel shape,
-//! bias, method policy) behind one validated builder.
 //!
 //! # Examples
 //!
@@ -64,7 +61,6 @@
 
 mod config;
 pub mod engine;
-mod options;
 mod rng;
 pub mod sampler;
 pub mod stats;
@@ -75,10 +71,9 @@ pub use engine::{
     generate_walks, generate_walks_from, generate_walks_from_prepared, generate_walks_prepared,
     generate_walks_serial, walk_from,
 };
-pub use options::WalkOptions;
 pub use rng::WalkRng;
 pub use sampler::{
-    PreparedSampler, SamplerBuildStats, SamplerBuilder, SamplerTables, SamplingMethod,
-    TransitionBias, VertexSampler, WeightedTables, DEFAULT_ALIAS_DEGREE,
+    PreparedSampler, SamplerBuildStats, SamplerTables, SamplingMethod, TransitionBias,
+    VertexSampler, WeightedTables,
 };
 pub use walkset::{WalkIter, WalkSet, WalkSetBuilder};

@@ -1,29 +1,23 @@
-//! Transition sampling: per-vertex method-dispatched tables behind the
-//! [`SamplerBuilder`] → [`VertexSampler`] → [`PreparedSampler`] API.
+//! Transition sampling: per-vertex tables behind the
+//! [`TransitionSampler::prepare`] → [`PreparedSampler`] API.
 //!
 //! The paper's Eq. (1) softmax is the compute-heavy part of the walk
 //! kernel: evaluated directly, every step exponentiates each candidate
 //! timestamp (three passes over the temporally-valid suffix). But the
 //! weights depend only on the edge timestamps and the graph-wide span `r`
 //! — not on the walk state — so for a fixed graph they can be
-//! precomputed *once*. How they are best precomputed depends on the
-//! vertex, which is why preparation assigns a [`SamplingMethod`] per
-//! vertex (FlexiWalker-style runtime adaptation):
+//! precomputed *once*. Every vertex draws through one of two
+//! [`SamplingMethod`]s, both from the same analytic distribution:
 //!
 //! * [`SamplingMethod::Cdf`] — per-segment cumulative-weight prefix sums;
 //!   sampling any valid suffix `[lo..deg)` costs one subtraction (to
 //!   rebase the CDF), one uniform draw, and one `partition_point` binary
-//!   search: `O(log d)`. The default, and the only method whose RNG draw
-//!   pattern is pinned by the bit-compat tests.
-//! * [`SamplingMethod::Alias`] — Vose alias tables for high-degree static
-//!   vertices: `O(1)` per draw (one bounded draw + one uniform) instead
-//!   of `O(log d)`, at 1.5× the table bytes (12 vs 8 per edge). Suffix
-//!   draws (`lo > 0`) condition full-table draws on landing in the
-//!   suffix, with an exact direct-evaluation fallback after a bounded
-//!   number of attempts.
-//! * [`SamplingMethod::Rejection`] — bounded rejection sampling for
-//!   vertices that churn under `DynamicGraph` ingest: no tables at all,
-//!   so nothing to rebuild when the segment changes. Segment-anchored
+//!   search: `O(log d)` over 8 bytes per edge. Every static vertex uses
+//!   it (DESIGN.md §13.3 records why no `O(1)` alias table beats it).
+//! * [`SamplingMethod::Rejection`] — bounded rejection sampling for the
+//!   vertices a refresh names as churned under `DynamicGraph` ingest
+//!   ([`TransitionSampler::prepare_churned`]): no tables at all, so
+//!   nothing to rebuild when the segment changes. Segment-anchored
 //!   weights lie in `[e^-1, 1]` (see below), so a constant envelope of 1
 //!   accepts with probability ≥ e⁻¹ per attempt; after a bounded number
 //!   of rejections an exact direct evaluation finishes the draw.
@@ -39,13 +33,9 @@
 //! makes precomputation valid at all. The same bound is what gives the
 //! rejection path its ≥ e⁻¹ acceptance rate.
 //!
-//! [`SamplerBuilder`] is the entry point: bias × method policy × memory
-//! budget × churn set, built once per graph into a [`PreparedSampler`]
-//! that is shared read-only across worker threads and reusable across
-//! [`crate::generate_walks_prepared`] and
-//! [`crate::generate_walks_from_prepared`] calls on the same graph.
-//! [`TransitionSampler::prepare`] remains as a thin all-CDF wrapper so
-//! existing call sites keep their exact table layout and draw pattern.
+//! The prepared sampler is built once per graph, shared read-only across
+//! worker threads, and reusable across [`crate::generate_walks_prepared`]
+//! and [`crate::generate_walks_from_prepared`] calls on the same graph.
 //! Custom bias functions plug in through the [`TransitionBias`] trait via
 //! [`PreparedSampler::custom`].
 
@@ -71,31 +61,20 @@ pub trait TransitionBias: Send + Sync + std::fmt::Debug {
     fn sample(&self, v: NodeId, times: &[Time], lo: usize, now: Time, rng: &mut WalkRng) -> usize;
 }
 
-/// Per-vertex sampling method for the softmax-weighted biases
-/// (paper §IV-A1's transition probabilities; DESIGN.md §13's policy).
-///
-/// `Auto` is a *policy*, resolved per vertex at build time; the other
-/// three force one method for every vertex. Uniform and linear-time
-/// biases sample in closed form and ignore the method entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// The sampling method a vertex of a softmax-weighted sampler was
+/// assigned at preparation (paper §IV-A1's transition probabilities;
+/// DESIGN.md §13). Uniform and linear-time biases sample in closed form
+/// and have no method.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum SamplingMethod {
-    /// Resolve per vertex: churned vertices take [`SamplingMethod::Rejection`],
-    /// static vertices with degree ≥ the builder's threshold take
-    /// [`SamplingMethod::Alias`] (hub-first under a memory budget), and
-    /// everything else keeps [`SamplingMethod::Cdf`].
-    #[default]
-    Auto = 0,
     /// Inverse-CDF over per-segment prefix sums — `O(log d)` per draw,
-    /// 8 bytes per edge. The bit-compat reference path.
-    Cdf = 1,
-    /// Vose alias table — `O(1)` per draw, 12 bytes per edge. Suffix
-    /// draws condition on the valid range with an exact fallback.
-    Alias = 2,
+    /// 8 bytes per edge. Every vertex not named as churned.
+    Cdf = 0,
     /// Bounded rejection against a constant envelope — zero table bytes,
-    /// expected ≤ e ≈ 2.72 attempts per draw. The choice for vertices
-    /// whose segments churn under streaming ingest.
-    Rejection = 3,
+    /// expected ≤ e ≈ 2.72 attempts per draw. The vertices a refresh
+    /// names as churned under streaming ingest.
+    Rejection = 1,
 }
 
 impl SamplingMethod {
@@ -110,61 +89,12 @@ impl SamplingMethod {
     /// enum value.
     pub fn from_u8(b: u8) -> Result<Self, String> {
         match b {
-            0 => Ok(SamplingMethod::Auto),
-            1 => Ok(SamplingMethod::Cdf),
-            2 => Ok(SamplingMethod::Alias),
-            3 => Ok(SamplingMethod::Rejection),
+            0 => Ok(SamplingMethod::Cdf),
+            1 => Ok(SamplingMethod::Rejection),
             other => Err(format!("invalid sampling-method byte {other}")),
         }
     }
 }
-
-impl std::fmt::Display for SamplingMethod {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SamplingMethod::Auto => "auto",
-            SamplingMethod::Cdf => "cdf",
-            SamplingMethod::Alias => "alias",
-            SamplingMethod::Rejection => "rejection",
-        })
-    }
-}
-
-impl std::str::FromStr for SamplingMethod {
-    type Err = String;
-
-    /// Parses the CLI spelling: `auto`, `cdf`, `alias`, `rejection`.
-    /// Normalized like every other enum parser here (trim, lowercase,
-    /// `_` → `-`); anything else is rejected with the full list of valid
-    /// values.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match crate::config::normalize(s).as_str() {
-            "auto" => Ok(SamplingMethod::Auto),
-            "cdf" => Ok(SamplingMethod::Cdf),
-            "alias" => Ok(SamplingMethod::Alias),
-            "rejection" => Ok(SamplingMethod::Rejection),
-            _ => Err(format!(
-                "unknown sampling method {s:?}: valid values are auto, cdf, alias, rejection"
-            )),
-        }
-    }
-}
-
-/// Default degree at or above which [`SamplingMethod::Auto`] promotes a
-/// static vertex to an alias table. Below this the CDF binary search is
-/// ≤ 6 well-predicted probes over at most two cache lines — the alias
-/// table's extra 4 bytes/edge buy nothing.
-pub const DEFAULT_ALIAS_DEGREE: usize = 64;
-
-/// Alias-table bytes per edge (`f64` probability + `u32` alias index) —
-/// the unit the builder's memory budget is accounted in.
-const ALIAS_ENTRY_BYTES: usize = 12;
-
-/// Full-table attempts before an alias suffix draw (`lo > 0`) falls back
-/// to exact direct evaluation. Suffix draws appear mid-walk where the
-/// suffix is usually most of the segment, so a handful of attempts almost
-/// always lands.
-const ALIAS_SUFFIX_ATTEMPTS: usize = 8;
 
 /// Envelope attempts before a rejection draw falls back to exact direct
 /// evaluation. Acceptance is ≥ e⁻¹ per attempt, so the fallback runs
@@ -172,33 +102,28 @@ const ALIAS_SUFFIX_ATTEMPTS: usize = 8;
 const REJECTION_ATTEMPTS: usize = 16;
 
 /// Cost and shape of building a [`PreparedSampler`]: wall-clock build
-/// time, resident table size, and the per-method vertex split the build
-/// policy settled on (all zeros for table-free samplers).
+/// time, resident table size, and the per-method vertex split (all zeros
+/// for table-free samplers).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SamplerBuildStats {
     /// Wall-clock time spent building the sampler.
     pub build_time: Duration,
-    /// Bytes held by the precomputed tables (CDF + alias + method map).
+    /// Bytes held by the precomputed tables (CDF + method map).
     pub table_bytes: usize,
     /// Vertices (with ≥ 1 out-edge) sampling through the CDF tables.
     pub cdf_vertices: usize,
-    /// Vertices (with ≥ 1 out-edge) sampling through alias tables.
-    pub alias_vertices: usize,
     /// Vertices (with ≥ 1 out-edge) sampling by bounded rejection.
     pub rejection_vertices: usize,
-    /// Bytes held by the alias tables alone (subset of `table_bytes`).
-    pub alias_bytes: usize,
 }
 
-/// A transition sampler bound to one graph, ready for `O(log d)`-or-better
+/// A transition sampler bound to one graph, ready for `O(log d)`
 /// sampling.
 ///
-/// Built by [`SamplerBuilder::build`] (or the [`TransitionSampler::prepare`]
-/// compatibility wrapper, or [`PreparedSampler::custom`]) and shared
-/// read-only across walk worker threads. The softmax variants carry a
-/// method-dispatched [`VertexSampler`]; uniform and linear-time sampling
-/// need no tables and keep the exact RNG draw pattern of direct
-/// evaluation.
+/// Built by [`TransitionSampler::prepare`] (or
+/// [`TransitionSampler::prepare_churned`], or [`PreparedSampler::custom`])
+/// and shared read-only across walk worker threads. The softmax variants
+/// carry a [`VertexSampler`]; uniform and linear-time sampling need no
+/// tables and keep the exact RNG draw pattern of direct evaluation.
 ///
 /// # Examples
 ///
@@ -235,256 +160,120 @@ enum PreparedKind {
     Custom(Arc<dyn TransitionBias>),
 }
 
-/// Builds a [`PreparedSampler`]: transition bias × per-vertex method
-/// policy × alias memory budget × churn set.
-///
-/// The method policy only affects the softmax-weighted biases
-/// ([`TransitionSampler::Softmax`] / [`TransitionSampler::SoftmaxRecency`]);
-/// uniform and linear-time biases sample in closed form regardless.
-///
-/// # Examples
-///
-/// ```
-/// use twalk::{SamplerBuilder, SamplingMethod, TransitionSampler};
-///
-/// let g = tgraph::gen::preferential_attachment(500, 4, 7).undirected(true).build();
-/// let prepared = SamplerBuilder::new(TransitionSampler::Softmax)
-///     .method(SamplingMethod::Auto)
-///     .alias_degree_threshold(32)
-///     .build(&g);
-/// let s = prepared.stats();
-/// // The PA hubs crossed the threshold and got O(1) alias tables.
-/// assert!(s.alias_vertices > 0 && s.cdf_vertices > 0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SamplerBuilder {
-    bias: TransitionSampler,
-    method: SamplingMethod,
-    alias_degree: usize,
-    alias_budget: Option<usize>,
-    churned: Vec<NodeId>,
-}
-
-impl SamplerBuilder {
-    /// Starts a builder for `bias` with the [`SamplingMethod::Auto`]
-    /// policy, the default alias degree threshold, and no memory budget.
-    pub fn new(bias: TransitionSampler) -> Self {
-        Self {
-            bias,
-            method: SamplingMethod::Auto,
-            alias_degree: DEFAULT_ALIAS_DEGREE,
-            alias_budget: None,
-            churned: Vec::new(),
-        }
+impl TransitionSampler {
+    /// Builds the prepared form of this sampler for `g`: CDF tables for
+    /// every vertex of the softmax variants (`O(|E|)` time), nothing for
+    /// [`TransitionSampler::Uniform`] and [`TransitionSampler::LinearTime`].
+    pub fn prepare(self, g: &TemporalGraph) -> PreparedSampler {
+        self.prepare_churned(g, &[])
     }
 
-    /// Sets the method policy ([`SamplingMethod::Auto`] resolves per
-    /// vertex; the rest force one method for every vertex).
-    #[must_use]
-    pub fn method(mut self, method: SamplingMethod) -> Self {
-        self.method = method;
-        self
-    }
-
-    /// Degree at or above which [`SamplingMethod::Auto`] promotes a
-    /// static vertex to an alias table.
-    #[must_use]
-    pub fn alias_degree_threshold(mut self, degree: usize) -> Self {
-        self.alias_degree = degree;
-        self
-    }
-
-    /// Caps the alias tables' per-edge payload (12 bytes/edge) under
-    /// [`SamplingMethod::Auto`]: candidates are admitted hub-first
-    /// (descending degree, ties by vertex id) until the budget is spent;
-    /// the rest keep the CDF tables.
-    #[must_use]
-    pub fn alias_budget_bytes(mut self, bytes: usize) -> Self {
-        self.alias_budget = Some(bytes);
-        self
-    }
-
-    /// Marks vertices whose segments churn under streaming ingest (e.g.
-    /// `DynamicGraph::take_dirty`). Under [`SamplingMethod::Auto`] they
-    /// sample by bounded rejection, so the next ingest invalidates no
-    /// tables for them. Extends across calls; out-of-range ids are
-    /// ignored at build time.
-    #[must_use]
-    pub fn churned(mut self, vertices: impl IntoIterator<Item = NodeId>) -> Self {
-        self.churned.extend(vertices);
-        self
-    }
-
-    /// Builds the prepared sampler for `g`.
+    /// [`Self::prepare`], except that the softmax variants sample the
+    /// `churned` vertices (e.g. `DynamicGraph::take_dirty`) by bounded
+    /// rejection, so the next ingest invalidates no tables for them.
+    /// Out-of-range ids are ignored. When `obs` is enabled, exports the
+    /// per-method vertex split and table bytes as gauges.
     ///
-    /// For the softmax variants this precomputes per-vertex tables
-    /// (`O(|E|)` time); for [`TransitionSampler::Uniform`] and
-    /// [`TransitionSampler::LinearTime`] it is free. When `obs` is
-    /// enabled, exports the per-method vertex split and table bytes as
-    /// gauges.
-    pub fn build(&self, g: &TemporalGraph) -> PreparedSampler {
+    /// # Examples
+    ///
+    /// ```
+    /// use twalk::{SamplingMethod, TransitionSampler};
+    ///
+    /// let g = tgraph::gen::preferential_attachment(500, 4, 7).undirected(true).build();
+    /// let prepared = TransitionSampler::Softmax.prepare_churned(&g, &[3, 8]);
+    /// assert_eq!(prepared.method_of(3), Some(SamplingMethod::Rejection));
+    /// assert_eq!(prepared.method_of(4), Some(SamplingMethod::Cdf));
+    /// assert_eq!(prepared.stats().rejection_vertices, 2);
+    /// ```
+    pub fn prepare_churned(self, g: &TemporalGraph, churned: &[NodeId]) -> PreparedSampler {
         let t0 = Instant::now();
-        let (kind, counts) = match self.bias {
+        let (kind, counts) = match self {
             TransitionSampler::Uniform => (PreparedKind::Uniform, MethodCounts::default()),
             TransitionSampler::LinearTime => (PreparedKind::LinearTime, MethodCounts::default()),
             TransitionSampler::Softmax => {
-                let (vs, c) = self.build_weighted(g, false);
+                let (vs, c) = build_weighted(g, false, churned);
                 (PreparedKind::Weighted(vs), c)
             }
             TransitionSampler::SoftmaxRecency => {
-                let (vs, c) = self.build_weighted(g, true);
+                let (vs, c) = build_weighted(g, true, churned);
                 (PreparedKind::Weighted(vs), c)
             }
         };
-        let (table_bytes, alias_bytes) = table_footprint(&kind);
         let stats = SamplerBuildStats {
             build_time: t0.elapsed(),
-            table_bytes,
+            table_bytes: table_footprint(&kind),
             cdf_vertices: counts.cdf,
-            alias_vertices: counts.alias,
             rejection_vertices: counts.rejection,
-            alias_bytes,
         };
         export_build_metrics(&stats);
         PreparedSampler { kind, stats, num_nodes: g.num_nodes(), num_edges: g.num_edges() }
     }
+}
 
-    /// Resolves the per-vertex method assignment and builds the tables.
-    fn build_weighted(&self, g: &TemporalGraph, recency: bool) -> (VertexSampler, MethodCounts) {
-        let span = g.time_span().max(f64::MIN_POSITIVE);
-        let n = g.num_nodes();
-        let methods: Option<Vec<SamplingMethod>> = match self.method {
-            SamplingMethod::Cdf => None,
-            SamplingMethod::Alias => Some(vec![SamplingMethod::Alias; n]),
-            SamplingMethod::Rejection => Some(vec![SamplingMethod::Rejection; n]),
-            SamplingMethod::Auto => {
-                let assigned = self.assign_auto(g);
-                // A uniformly-CDF assignment collapses to the compact
-                // legacy layout: no method map, no alias arrays.
-                if assigned.iter().all(|&m| m == SamplingMethod::Cdf) {
-                    None
-                } else {
-                    Some(assigned)
-                }
-            }
-        };
-        let need_cdf = methods.as_ref().is_none_or(|ms| ms.contains(&SamplingMethod::Cdf));
-        let need_alias = methods.as_ref().is_some_and(|ms| ms.contains(&SamplingMethod::Alias));
-        // Built as plain Vecs, wrapped into Storage-backed tables at the
-        // end (the mapped variant only enters through the import path).
-        let mut cdf_t: Option<(Vec<usize>, Vec<f64>)> = need_cdf.then(|| {
-            let mut starts = Vec::with_capacity(n + 1);
-            starts.push(0);
-            (starts, Vec::new())
-        });
-        let mut alias_t: Option<(Vec<usize>, Vec<f64>, Vec<u32>)> = need_alias.then(|| {
-            let mut starts = Vec::with_capacity(n + 1);
-            starts.push(0);
-            (starts, Vec::new(), Vec::new())
-        });
-        let mut counts = MethodCounts::default();
-        let mut wbuf: Vec<f64> = Vec::new();
-        let (mut small, mut large): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
-        for v in 0..n as NodeId {
-            let (_, times) = g.neighbor_slices(v);
-            let m = methods.as_ref().map_or(SamplingMethod::Cdf, |ms| ms[v as usize]);
-            if !times.is_empty() {
-                // Segments are time-sorted ascending, so the anchor is an end.
-                let anchor = if recency { times[0] } else { times[times.len() - 1] };
-                let weight = |t: Time| -> f64 {
-                    let e = if recency { -(t - anchor) / span } else { (t - anchor) / span };
-                    e.exp()
-                };
-                match m {
-                    SamplingMethod::Cdf => {
-                        counts.cdf += 1;
-                        let (_, cdf) = cdf_t.as_mut().expect("cdf tables allocated");
-                        let mut acc = 0.0;
-                        for &t in times {
-                            acc += weight(t);
-                            cdf.push(acc);
-                        }
-                    }
-                    SamplingMethod::Alias => {
-                        counts.alias += 1;
-                        wbuf.clear();
-                        wbuf.extend(times.iter().map(|&t| weight(t)));
-                        let (_, prob, alias) = alias_t.as_mut().expect("alias tables allocated");
-                        push_vose(&wbuf, prob, alias, &mut small, &mut large);
-                    }
-                    SamplingMethod::Rejection => counts.rejection += 1,
-                    SamplingMethod::Auto => unreachable!("Auto is resolved before table build"),
-                }
-            }
-            if let Some((starts, cdf)) = &mut cdf_t {
-                starts.push(cdf.len());
-            }
-            if let Some((starts, prob, _)) = &mut alias_t {
-                starts.push(prob.len());
-            }
-        }
-        let cdf = cdf_t.map(|(starts, cdf)| CdfTables { starts: starts.into(), cdf: cdf.into() });
-        let alias = alias_t.map(|(starts, prob, alias)| AliasTables {
-            starts: starts.into(),
-            prob: prob.into(),
-            alias: alias.into(),
-        });
-        (VertexSampler { recency, span, methods, cdf, alias }, counts)
+/// Assigns churned vertices to rejection and builds the CDF tables for
+/// the rest.
+fn build_weighted(
+    g: &TemporalGraph,
+    recency: bool,
+    churned: &[NodeId],
+) -> (VertexSampler, MethodCounts) {
+    let span = g.time_span().max(f64::MIN_POSITIVE);
+    let n = g.num_nodes();
+    // No churned vertex keeps the compact layout: no method map.
+    let mut methods: Option<Vec<SamplingMethod>> = None;
+    for &v in churned.iter().filter(|&&v| (v as usize) < n) {
+        methods.get_or_insert_with(|| vec![SamplingMethod::Cdf; n])[v as usize] =
+            SamplingMethod::Rejection;
     }
-
-    /// The `Auto` policy: churned → rejection; static degree ≥ threshold
-    /// → alias, hub-first under the memory budget; everything else CDF.
-    fn assign_auto(&self, g: &TemporalGraph) -> Vec<SamplingMethod> {
-        let n = g.num_nodes();
-        let mut ms = vec![SamplingMethod::Cdf; n];
-        for &v in &self.churned {
-            if (v as usize) < n {
-                ms[v as usize] = SamplingMethod::Rejection;
-            }
-        }
-        // Degree-1 segments never reach method dispatch (a singleton
-        // suffix is a forced move), so 2 is the floor worth a table.
-        let threshold = self.alias_degree.max(2);
-        let mut candidates: Vec<(usize, NodeId)> = (0..n as NodeId)
-            .filter(|&v| ms[v as usize] == SamplingMethod::Cdf)
-            .map(|v| (g.neighbor_slices(v).1.len(), v))
-            .filter(|&(d, _)| d >= threshold)
-            .collect();
-        match self.alias_budget {
-            None => {
-                for &(_, v) in &candidates {
-                    ms[v as usize] = SamplingMethod::Alias;
-                }
-            }
-            Some(budget) => {
-                candidates.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-                let mut spent = 0usize;
-                for &(d, v) in &candidates {
-                    let bytes = d * ALIAS_ENTRY_BYTES;
-                    if spent + bytes <= budget {
-                        spent += bytes;
-                        ms[v as usize] = SamplingMethod::Alias;
+    let need_cdf = methods.as_ref().is_none_or(|ms| ms.contains(&SamplingMethod::Cdf));
+    // Built as plain Vecs, wrapped into Storage-backed tables at the end
+    // (the mapped variant only enters through the import path).
+    let mut cdf_t: Option<(Vec<usize>, Vec<f64>)> = need_cdf.then(|| {
+        let mut starts = Vec::with_capacity(n + 1);
+        starts.push(0);
+        (starts, Vec::new())
+    });
+    let mut counts = MethodCounts::default();
+    for v in 0..n as NodeId {
+        let (_, times) = g.neighbor_slices(v);
+        let m = methods.as_ref().map_or(SamplingMethod::Cdf, |ms| ms[v as usize]);
+        if !times.is_empty() {
+            match m {
+                SamplingMethod::Cdf => {
+                    counts.cdf += 1;
+                    // Segments are time-sorted ascending, so the anchor is an end.
+                    let anchor = if recency { times[0] } else { times[times.len() - 1] };
+                    let (_, cdf) = cdf_t.as_mut().expect("cdf tables allocated");
+                    let mut acc = 0.0;
+                    for &t in times {
+                        let e = if recency { -(t - anchor) / span } else { (t - anchor) / span };
+                        acc += e.exp();
+                        cdf.push(acc);
                     }
                 }
+                SamplingMethod::Rejection => counts.rejection += 1,
             }
         }
-        ms
+        if let Some((starts, cdf)) = &mut cdf_t {
+            starts.push(cdf.len());
+        }
     }
+    let cdf = cdf_t.map(|(starts, cdf)| CdfTables { starts: starts.into(), cdf: cdf.into() });
+    (VertexSampler { recency, span, methods, cdf }, counts)
 }
 
 /// The method-dispatched sampling layer for the softmax-weighted biases:
-/// per-vertex method assignment plus whichever tables the assignment
-/// needs. [`PreparedSampler`] is a facade over this for the weighted
-/// kinds.
+/// per-vertex method assignment plus the CDF tables. [`PreparedSampler`]
+/// is a facade over this for the weighted kinds.
 #[derive(Debug)]
 pub struct VertexSampler {
     recency: bool,
     span: f64,
     /// `None` means every vertex uses the CDF tables — the compact
-    /// legacy layout with no per-vertex method map.
+    /// layout with no per-vertex method map.
     methods: Option<Vec<SamplingMethod>>,
+    /// `None` when every vertex samples by rejection.
     cdf: Option<CdfTables>,
-    alias: Option<AliasTables>,
 }
 
 /// Per-segment cumulative weights aligned with CSR edge order;
@@ -494,15 +283,6 @@ pub struct VertexSampler {
 struct CdfTables {
     starts: Storage<usize>,
     cdf: Storage<f64>,
-}
-
-/// Vose alias tables, same segment layout: `starts[v]..starts[v + 1]`
-/// slices both `prob` and `alias`. `alias` holds segment-local indices.
-#[derive(Debug)]
-struct AliasTables {
-    starts: Storage<usize>,
-    prob: Storage<f64>,
-    alias: Storage<u32>,
 }
 
 impl VertexSampler {
@@ -517,9 +297,8 @@ impl VertexSampler {
     #[inline]
     fn sample(&self, v: NodeId, times: &[Time], lo: usize, rng: &mut WalkRng) -> usize {
         match self.method_of(v) {
-            SamplingMethod::Alias => self.sample_alias(v, times, lo, rng),
+            SamplingMethod::Cdf => self.sample_cdf(v, times, lo, rng),
             SamplingMethod::Rejection => self.sample_rejection(times, lo, rng),
-            _ => self.sample_cdf(v, times, lo, rng),
         }
     }
 
@@ -539,29 +318,6 @@ impl VertexSampler {
         // Float round-off can push `target` past the last cumulative
         // weight; clamp like direct evaluation does.
         pick.min(times.len() - 1)
-    }
-
-    /// Alias draw: one bounded draw + one uniform. A suffix draw
-    /// (`lo > 0`) conditions full-table draws on landing in the suffix —
-    /// each conditioned draw is exactly the suffix distribution — and
-    /// falls back to exact direct evaluation after a bounded number of
-    /// attempts, so the mixture stays exact.
-    #[inline]
-    fn sample_alias(&self, v: NodeId, times: &[Time], lo: usize, rng: &mut WalkRng) -> usize {
-        let a = self.alias.as_ref().expect("alias tables allocated");
-        let (s, e) = (a.starts[v as usize], a.starts[v as usize + 1]);
-        let (prob, alias) = (&a.prob[s..e], &a.alias[s..e]);
-        let deg = times.len();
-        debug_assert_eq!(prob.len(), deg);
-        for _ in 0..ALIAS_SUFFIX_ATTEMPTS {
-            let j = rng.next_bounded(deg);
-            let pick = if rng.next_f64() < prob[j] { j } else { alias[j] as usize };
-            // `lo == 0` (the common case) accepts unconditionally here.
-            if pick >= lo {
-                return pick;
-            }
-        }
-        direct_weighted_suffix(times, lo, self.span, self.recency, rng)
     }
 
     /// Bounded rejection against a constant envelope of 1: propose
@@ -602,33 +358,16 @@ impl VertexSampler {
             tgraph::prefetch::prefetch_read(p.wrapping_add(v as usize));
             tgraph::prefetch::prefetch_read(p.wrapping_add(v as usize + 1));
         }
-        if let Some(a) = &self.alias {
-            let p = a.starts.as_ptr();
-            tgraph::prefetch::prefetch_read(p.wrapping_add(v as usize));
-            tgraph::prefetch::prefetch_read(p.wrapping_add(v as usize + 1));
-        }
     }
 
-    /// Hints the CPU to pull `v`'s table slice toward L1. For CDF
-    /// vertices: the first, middle, and last cache lines of the prefix
-    /// sums (the first positions the binary search inspects). For alias
-    /// vertices: the same probes on the probability row (the draw's
-    /// random index lands anywhere in it). Rejection vertices read only
-    /// the times slice, which the graph-side prefetch already covers.
+    /// Hints the CPU to pull `v`'s table slice toward L1: the first,
+    /// middle, and last cache lines of the prefix sums (the first
+    /// positions the binary search inspects). Rejection vertices read
+    /// only the times slice, which the graph-side prefetch already covers.
     #[inline]
     fn prefetch(&self, v: NodeId) {
-        match self.method_of(v) {
-            SamplingMethod::Alias => {
-                if let Some(a) = &self.alias {
-                    probe_lines(&a.prob, a.starts[v as usize], a.starts[v as usize + 1]);
-                }
-            }
-            SamplingMethod::Rejection => {}
-            _ => {
-                if let Some(c) = &self.cdf {
-                    probe_lines(&c.cdf, c.starts[v as usize], c.starts[v as usize + 1]);
-                }
-            }
+        if let (SamplingMethod::Cdf, Some(c)) = (self.method_of(v), &self.cdf) {
+            probe_lines(&c.cdf, c.starts[v as usize], c.starts[v as usize + 1]);
         }
     }
 }
@@ -652,51 +391,10 @@ fn probe_lines(data: &[f64], a: usize, b: usize) {
     }
 }
 
-/// Appends one segment's Vose alias table to `t`. Probabilities are
-/// scaled so the mean is 1; the small/large worklists pair each
-/// deficient entry with a surplus donor. Entries left over in either
-/// list are exactly 1 up to round-off and are pinned there.
-fn push_vose(
-    weights: &[f64],
-    prob: &mut Vec<f64>,
-    alias: &mut Vec<u32>,
-    small: &mut Vec<u32>,
-    large: &mut Vec<u32>,
-) {
-    let d = weights.len();
-    let base = prob.len();
-    let total: f64 = weights.iter().sum();
-    let scale = d as f64 / total;
-    prob.extend(weights.iter().map(|&w| w * scale));
-    alias.resize(base + d, 0);
-    small.clear();
-    large.clear();
-    for i in 0..d {
-        if prob[base + i] < 1.0 {
-            small.push(i as u32);
-        } else {
-            large.push(i as u32);
-        }
-    }
-    while let Some(&l) = large.last() {
-        let Some(s) = small.pop() else { break };
-        alias[base + s as usize] = l;
-        let p = prob[base + l as usize] - (1.0 - prob[base + s as usize]);
-        prob[base + l as usize] = p;
-        if p < 1.0 {
-            large.pop();
-            small.push(l);
-        }
-    }
-    for &i in small.iter().chain(large.iter()) {
-        prob[base + i as usize] = 1.0;
-    }
-}
-
 /// Exact direct evaluation of the segment-anchored weight distribution
-/// over `times[lo..]` — the fallback that bounds the alias/rejection
-/// retry loops, and distribution-identical to the CDF tables (same
-/// anchor, same weights, one uniform draw).
+/// over `times[lo..]` — the fallback that bounds the rejection retry
+/// loop, and distribution-identical to the CDF tables (same anchor, same
+/// weights, one uniform draw).
 fn direct_weighted_suffix(
     times: &[Time],
     lo: usize,
@@ -727,25 +425,20 @@ fn direct_weighted_suffix(
 #[derive(Debug, Default, Clone, Copy)]
 struct MethodCounts {
     cdf: usize,
-    alias: usize,
     rejection: usize,
 }
 
-/// Resident bytes of a prepared kind's tables: `(total, alias_subset)`.
-fn table_footprint(kind: &PreparedKind) -> (usize, usize) {
+/// Resident bytes of a prepared kind's tables.
+fn table_footprint(kind: &PreparedKind) -> usize {
     match kind {
         PreparedKind::Weighted(vs) => {
             let usz = std::mem::size_of::<usize>();
             let cdf = vs.cdf.as_ref().map_or(0, |c| c.starts.len() * usz + c.cdf.len() * 8);
-            let alias = vs
-                .alias
-                .as_ref()
-                .map_or(0, |a| a.starts.len() * usz + a.prob.len() * 8 + a.alias.len() * 4);
             let map =
                 vs.methods.as_ref().map_or(0, |m| m.len() * std::mem::size_of::<SamplingMethod>());
-            (cdf + alias + map, alias)
+            cdf + map
         }
-        _ => (0, 0),
+        _ => 0,
     }
 }
 
@@ -757,21 +450,8 @@ fn export_build_metrics(stats: &SamplerBuildStats) {
         return;
     }
     rec.gauge("twalk_sampler_vertices{method=\"cdf\"}").set(stats.cdf_vertices as i64);
-    rec.gauge("twalk_sampler_vertices{method=\"alias\"}").set(stats.alias_vertices as i64);
     rec.gauge("twalk_sampler_vertices{method=\"rejection\"}").set(stats.rejection_vertices as i64);
     rec.gauge("twalk_sampler_table_bytes").set(stats.table_bytes as i64);
-    rec.gauge("twalk_sampler_alias_bytes").set(stats.alias_bytes as i64);
-}
-
-impl TransitionSampler {
-    /// Builds the prepared form of this sampler for `g` — the
-    /// compatibility wrapper over [`SamplerBuilder`], forcing
-    /// [`SamplingMethod::Cdf`] so the table layout, byte accounting, and
-    /// RNG draw pattern match the pre-builder API exactly. New code that
-    /// wants per-vertex method adaptation should use the builder.
-    pub fn prepare(self, g: &TemporalGraph) -> PreparedSampler {
-        SamplerBuilder::new(self).method(SamplingMethod::Cdf).build(g)
-    }
 }
 
 impl PreparedSampler {
@@ -897,9 +577,6 @@ pub enum SamplerTables<'a> {
         methods: Option<&'a [SamplingMethod]>,
         /// CDF `(starts, cumulative_weights)`, if any vertex uses CDF.
         cdf: Option<(&'a [usize], &'a [f64])>,
-        /// Alias `(starts, probabilities, alias_indices)`, if any vertex
-        /// uses alias tables.
-        alias: Option<(&'a [usize], &'a [f64], &'a [u32])>,
     },
 }
 
@@ -917,24 +594,22 @@ pub struct WeightedTables {
     pub methods: Option<Vec<SamplingMethod>>,
     /// CDF `(starts, cumulative_weights)`.
     pub cdf: Option<(Storage<usize>, Storage<f64>)>,
-    /// Alias `(starts, probabilities, alias_indices)`.
-    pub alias: Option<(Storage<usize>, Storage<f64>, Storage<u32>)>,
 }
 
-/// Checks one `starts` array against its payload: `n + 1` entries,
+/// Checks the CDF `starts` array against its payload: `n + 1` entries,
 /// starting at 0, nondecreasing, ending exactly at `payload_len`.
-fn check_starts(what: &str, starts: &[usize], n: usize, payload_len: usize) -> Result<(), String> {
+fn check_starts(starts: &[usize], n: usize, payload_len: usize) -> Result<(), String> {
     if starts.len() != n + 1 {
-        return Err(format!("{what} starts has {} entries, expected {}", starts.len(), n + 1));
+        return Err(format!("cdf starts has {} entries, expected {}", starts.len(), n + 1));
     }
     if starts[0] != 0 {
-        return Err(format!("{what} starts[0] is {}, expected 0", starts[0]));
+        return Err(format!("cdf starts[0] is {}, expected 0", starts[0]));
     }
     if let Some(v) = starts.windows(2).position(|w| w[0] > w[1]) {
-        return Err(format!("{what} starts decrease at vertex {v}"));
+        return Err(format!("cdf starts decrease at vertex {v}"));
     }
     if starts[n] != payload_len {
-        return Err(format!("{what} starts end at {}, expected {payload_len}", starts[n]));
+        return Err(format!("cdf starts end at {}, expected {payload_len}", starts[n]));
     }
     Ok(())
 }
@@ -963,7 +638,6 @@ impl PreparedSampler {
                 span: vs.span,
                 methods: vs.methods.as_deref(),
                 cdf: vs.cdf.as_ref().map(|c| (&c.starts[..], &c.cdf[..])),
-                alias: vs.alias.as_ref().map(|a| (&a.starts[..], &a.prob[..], &a.alias[..])),
             }),
         }
     }
@@ -990,20 +664,20 @@ impl PreparedSampler {
     ///
     /// The structural invariants the sampling hot path relies on are
     /// *checked*, not assumed: `starts` arrays must have `num_nodes + 1`
-    /// monotone entries ending at their payload length, alias rows must
-    /// be parallel with segment-local indices, the method map (when
-    /// present) must cover every vertex with a concrete method whose
-    /// table exists, and the span must be positive and finite. Any
-    /// violation is an `Err` — never a panic later inside a walk.
+    /// monotone entries ending at their payload length, the method map
+    /// (when present) must cover every vertex, CDF tables must exist if
+    /// any vertex samples through them, and the span must be positive and
+    /// finite. Any violation is an `Err` — never a panic later inside a
+    /// walk.
     ///
     /// `counts` carries the build-time per-method vertex split
-    /// (`cdf`, `alias`, `rejection`) for [`SamplerBuildStats`]; byte
-    /// accounting is recomputed from the tables themselves.
+    /// (`cdf`, `rejection`) for [`SamplerBuildStats`]; byte accounting is
+    /// recomputed from the tables themselves.
     pub fn from_weighted_tables(
         t: WeightedTables,
         num_nodes: usize,
         num_edges: usize,
-        counts: (usize, usize, usize),
+        counts: (usize, usize),
     ) -> Result<Self, String> {
         if !(t.span.is_finite() && t.span > 0.0) {
             return Err(format!("span must be positive and finite, got {}", t.span));
@@ -1012,65 +686,29 @@ impl PreparedSampler {
             if ms.len() != num_nodes {
                 return Err(format!("method map has {} entries, expected {num_nodes}", ms.len()));
             }
-            for (v, &m) in ms.iter().enumerate() {
-                match m {
-                    SamplingMethod::Cdf if t.cdf.is_none() => {
-                        return Err(format!("vertex {v} needs CDF tables but none are present"));
-                    }
-                    SamplingMethod::Alias if t.alias.is_none() => {
-                        return Err(format!("vertex {v} needs alias tables but none are present"));
-                    }
-                    SamplingMethod::Auto => {
-                        return Err(format!("vertex {v} has unresolved method Auto"));
-                    }
-                    _ => {}
+            if t.cdf.is_none() {
+                if let Some(v) = ms.iter().position(|&m| m == SamplingMethod::Cdf) {
+                    return Err(format!("vertex {v} needs CDF tables but none are present"));
                 }
             }
         } else if t.cdf.is_none() {
             return Err("compact layout (no method map) requires CDF tables".into());
         }
         if let Some((starts, cdf)) = &t.cdf {
-            check_starts("cdf", starts, num_nodes, cdf.len())?;
-        }
-        if let Some((starts, prob, alias)) = &t.alias {
-            check_starts("alias", starts, num_nodes, prob.len())?;
-            if alias.len() != prob.len() {
-                return Err(format!(
-                    "alias rows are not parallel: {} probs vs {} indices",
-                    prob.len(),
-                    alias.len()
-                ));
-            }
-            // Alias entries are segment-local: every index must stay
-            // inside its own vertex's row or a draw could escape the
-            // segment and index out of bounds mid-walk.
-            for v in 0..num_nodes {
-                let (s, e) = (starts[v], starts[v + 1]);
-                let deg = e - s;
-                if let Some(i) = alias[s..e].iter().position(|&x| (x as usize) >= deg) {
-                    return Err(format!(
-                        "alias index {} at vertex {v} edge {i} exceeds segment degree {deg}",
-                        alias[s + i]
-                    ));
-                }
-            }
+            check_starts(starts, num_nodes, cdf.len())?;
         }
         let vs = VertexSampler {
             recency: t.recency,
             span: t.span,
             methods: t.methods,
             cdf: t.cdf.map(|(starts, cdf)| CdfTables { starts, cdf }),
-            alias: t.alias.map(|(starts, prob, alias)| AliasTables { starts, prob, alias }),
         };
         let kind = PreparedKind::Weighted(vs);
-        let (table_bytes, alias_bytes) = table_footprint(&kind);
         let stats = SamplerBuildStats {
             build_time: Duration::ZERO,
-            table_bytes,
+            table_bytes: table_footprint(&kind),
             cdf_vertices: counts.0,
-            alias_vertices: counts.1,
-            rejection_vertices: counts.2,
-            alias_bytes,
+            rejection_vertices: counts.1,
         };
         Ok(Self { kind, stats, num_nodes, num_edges })
     }
@@ -1151,7 +789,7 @@ mod tests {
     }
 
     /// Two hubs (vertex 0 with 48 edges, vertex 1 with 16) plus the leaf
-    /// tail — enough degree spread to exercise threshold and budget.
+    /// tail.
     fn two_hubs() -> TemporalGraph {
         let mut b = GraphBuilder::new();
         let mut leaf = 2u32;
@@ -1242,10 +880,11 @@ mod tests {
             assert_eq!(p.sample(0, times, 0, 0.0, &mut rng), 0);
             assert_eq!(rng.next_u64(), before);
         }
-        // The forced-move rule is method-independent: alias and rejection
-        // vertices must hold it too.
-        for m in [SamplingMethod::Alias, SamplingMethod::Rejection] {
-            let p = SamplerBuilder::new(TransitionSampler::Softmax).method(m).build(&g);
+        // The forced-move rule is method-independent: rejection vertices
+        // must hold it too.
+        for s in [TransitionSampler::Softmax, TransitionSampler::SoftmaxRecency] {
+            let p = s.prepare_churned(&g, &[0]);
+            assert_eq!(p.method_of(0), Some(SamplingMethod::Rejection));
             let (_, times) = g.neighbor_slices(0);
             let mut rng = WalkRng::new(3);
             let before = rng.clone().next_u64();
@@ -1323,127 +962,53 @@ mod tests {
     }
 
     #[test]
-    fn sampling_method_names_round_trip() {
-        for m in [
-            SamplingMethod::Auto,
-            SamplingMethod::Cdf,
-            SamplingMethod::Alias,
-            SamplingMethod::Rejection,
-        ] {
-            assert_eq!(m.to_string().parse::<SamplingMethod>(), Ok(m));
+    fn churning_nothing_keeps_the_compact_all_cdf_layout() {
+        let g = two_hubs();
+        let plain = TransitionSampler::Softmax.prepare(&g);
+        // No churned id is in range, so no vertex leaves the CDF and no
+        // method map is built.
+        let churned = TransitionSampler::Softmax.prepare_churned(&g, &[9_999]);
+        for p in [&plain, &churned] {
+            let s = p.stats();
+            assert_eq!(s.table_bytes, plain.stats().table_bytes);
+            assert_eq!((s.cdf_vertices, s.rejection_vertices), (2, 0));
+            assert_eq!(p.method_of(0), Some(SamplingMethod::Cdf));
         }
-        assert_eq!(" Rejection ".parse(), Ok(SamplingMethod::Rejection));
-        assert_eq!("CDF".parse(), Ok(SamplingMethod::Cdf));
-        let err = "vose".parse::<SamplingMethod>().unwrap_err();
-        for needle in ["vose", "auto", "cdf", "alias", "rejection", "valid values"] {
-            assert!(err.contains(needle), "{err:?} missing {needle:?}");
-        }
-    }
-
-    #[test]
-    fn legacy_prepare_matches_cdf_builder_exactly() {
-        let g = tgraph::gen::preferential_attachment(200, 3, 5).undirected(true).build();
-        let legacy = TransitionSampler::Softmax.prepare(&g);
-        let built =
-            SamplerBuilder::new(TransitionSampler::Softmax).method(SamplingMethod::Cdf).build(&g);
-        assert_eq!(legacy.stats().table_bytes, built.stats().table_bytes);
-        assert_eq!(legacy.stats().alias_bytes, 0);
-        assert_eq!(legacy.stats().alias_vertices, 0);
-        assert_eq!(legacy.stats().rejection_vertices, 0);
-        assert!(legacy.stats().cdf_vertices > 0);
         // Same tables ⇒ same draws from the same stream.
-        let v = 0u32;
-        let (_, times) = g.neighbor_slices(v);
-        if times.len() > 1 {
-            let mut a = WalkRng::new(17);
-            let mut b = WalkRng::new(17);
-            for _ in 0..200 {
-                assert_eq!(
-                    legacy.sample(v, times, 0, f64::NEG_INFINITY, &mut a),
-                    built.sample(v, times, 0, f64::NEG_INFINITY, &mut b)
-                );
-            }
+        let (_, times) = g.neighbor_slices(0);
+        let (mut a, mut b) = (WalkRng::new(17), WalkRng::new(17));
+        for _ in 0..200 {
+            assert_eq!(
+                plain.sample(0, times, 0, f64::NEG_INFINITY, &mut a),
+                churned.sample(0, times, 0, f64::NEG_INFINITY, &mut b)
+            );
         }
-    }
-
-    #[test]
-    fn auto_with_unreachable_threshold_collapses_to_legacy_layout() {
-        let g = two_hubs();
-        let auto =
-            SamplerBuilder::new(TransitionSampler::Softmax).alias_degree_threshold(1_000).build(&g);
-        let legacy = TransitionSampler::Softmax.prepare(&g);
-        // No vertex qualifies for alias and nothing churned, so the
-        // assignment collapses to the compact all-CDF layout.
-        assert_eq!(auto.stats().table_bytes, legacy.stats().table_bytes);
-        assert_eq!(auto.stats().alias_vertices, 0);
-    }
-
-    #[test]
-    fn auto_assigns_alias_to_hubs_and_cdf_to_the_rest() {
-        let g = two_hubs();
-        let p =
-            SamplerBuilder::new(TransitionSampler::Softmax).alias_degree_threshold(32).build(&g);
-        assert_eq!(p.method_of(0), Some(SamplingMethod::Alias));
-        assert_eq!(p.method_of(1), Some(SamplingMethod::Cdf));
-        let s = p.stats();
-        assert_eq!(s.alias_vertices, 1);
-        assert_eq!(s.cdf_vertices, 1); // leaves have no out-edges
-        assert_eq!(s.rejection_vertices, 0);
-        // 48 alias entries at 12 payload bytes each, plus the starts row.
-        assert_eq!(s.alias_bytes, 48 * 12 + (g.num_nodes() + 1) * std::mem::size_of::<usize>());
-        assert!(s.table_bytes > s.alias_bytes);
-    }
-
-    #[test]
-    fn alias_budget_admits_hubs_first() {
-        let g = two_hubs();
-        // Room for the 48-degree hub only: 48·12 = 576 bytes.
-        let p = SamplerBuilder::new(TransitionSampler::Softmax)
-            .alias_degree_threshold(8)
-            .alias_budget_bytes(600)
-            .build(&g);
-        assert_eq!(p.method_of(0), Some(SamplingMethod::Alias));
-        assert_eq!(p.method_of(1), Some(SamplingMethod::Cdf));
-        assert_eq!(p.stats().alias_vertices, 1);
-        // A zero budget demotes everything back to CDF.
-        let p0 = SamplerBuilder::new(TransitionSampler::Softmax)
-            .alias_degree_threshold(8)
-            .alias_budget_bytes(0)
-            .build(&g);
-        assert_eq!(p0.stats().alias_vertices, 0);
-        assert_eq!(p0.method_of(0), Some(SamplingMethod::Cdf));
     }
 
     #[test]
     fn churned_vertices_sample_by_rejection() {
         let g = two_hubs();
-        let p = SamplerBuilder::new(TransitionSampler::SoftmaxRecency)
-            .alias_degree_threshold(32)
-            .churned([0u32, 9_999u32]) // out-of-range id is ignored
-            .build(&g);
+        // The out-of-range id is ignored.
+        let p = TransitionSampler::SoftmaxRecency.prepare_churned(&g, &[0, 9_999]);
         assert_eq!(p.method_of(0), Some(SamplingMethod::Rejection));
         assert_eq!(p.method_of(1), Some(SamplingMethod::Cdf));
         let s = p.stats();
-        assert_eq!(s.rejection_vertices, 1);
-        assert_eq!(s.alias_vertices, 0); // the only alias candidate churned
-        assert_eq!(s.alias_bytes, 0);
+        assert_eq!((s.cdf_vertices, s.rejection_vertices), (1, 1));
     }
 
     #[test]
-    fn forced_rejection_builds_no_tables_beyond_the_method_map() {
+    fn churning_every_vertex_builds_no_tables_beyond_the_method_map() {
         let g = two_hubs();
-        let p = SamplerBuilder::new(TransitionSampler::Softmax)
-            .method(SamplingMethod::Rejection)
-            .build(&g);
+        let all: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
+        let p = TransitionSampler::Softmax.prepare_churned(&g, &all);
         let s = p.stats();
         assert_eq!(s.table_bytes, g.num_nodes() * std::mem::size_of::<SamplingMethod>());
-        assert_eq!(s.alias_bytes, 0);
         assert_eq!(s.rejection_vertices, 2);
         assert_eq!(s.cdf_vertices, 0);
     }
 
     #[test]
-    fn alias_and_rejection_track_the_analytic_distribution() {
+    fn rejection_tracks_the_analytic_distribution() {
         let times: Vec<f64> = (0..32).map(|i| i as f64 / 31.0).collect();
         let g = star(&times);
         let deg = times.len();
@@ -1451,47 +1016,35 @@ mod tests {
             [(false, TransitionSampler::Softmax), (true, TransitionSampler::SoftmaxRecency)]
         {
             let anchor = if recency { times[0] } else { times[deg - 1] };
-            for method in [SamplingMethod::Alias, SamplingMethod::Rejection] {
-                let p = SamplerBuilder::new(bias).method(method).build(&g);
-                assert_eq!(p.method_of(0), Some(method));
-                let (_, seg) = g.neighbor_slices(0);
-                for lo in [0usize, deg / 3] {
-                    let w: Vec<f64> = times[lo..]
-                        .iter()
-                        .map(|&t| {
-                            let e = if recency { -(t - anchor) } else { t - anchor };
-                            e.exp() // span is 1.0 for this star
-                        })
-                        .collect();
-                    let total: f64 = w.iter().sum();
-                    let mut counts = vec![0usize; deg - lo];
-                    let mut rng = WalkRng::new(23);
-                    let draws = 30_000;
-                    for _ in 0..draws {
-                        let pick = p.sample(0, seg, lo, f64::NEG_INFINITY, &mut rng);
-                        assert!((lo..deg).contains(&pick), "{method} escaped suffix");
-                        counts[pick - lo] += 1;
-                    }
-                    for i in 0..deg - lo {
-                        let expect = w[i] / total;
-                        let got = counts[i] as f64 / draws as f64;
-                        assert!(
-                            (got - expect).abs() < 0.015,
-                            "{bias:?}/{method} lo={lo} bin {i}: {got:.4} vs {expect:.4}"
-                        );
-                    }
+            let p = bias.prepare_churned(&g, &[0]);
+            assert_eq!(p.method_of(0), Some(SamplingMethod::Rejection));
+            let (_, seg) = g.neighbor_slices(0);
+            for lo in [0usize, deg / 3] {
+                let w: Vec<f64> = times[lo..]
+                    .iter()
+                    .map(|&t| {
+                        let e = if recency { -(t - anchor) } else { t - anchor };
+                        e.exp() // span is 1.0 for this star
+                    })
+                    .collect();
+                let total: f64 = w.iter().sum();
+                let mut counts = vec![0usize; deg - lo];
+                let mut rng = WalkRng::new(23);
+                let draws = 30_000;
+                for _ in 0..draws {
+                    let pick = p.sample(0, seg, lo, f64::NEG_INFINITY, &mut rng);
+                    assert!((lo..deg).contains(&pick), "rejection escaped suffix");
+                    counts[pick - lo] += 1;
+                }
+                for i in 0..deg - lo {
+                    let expect = w[i] / total;
+                    let got = counts[i] as f64 / draws as f64;
+                    assert!(
+                        (got - expect).abs() < 0.015,
+                        "{bias:?} lo={lo} bin {i}: {got:.4} vs {expect:.4}"
+                    );
                 }
             }
         }
-    }
-
-    #[test]
-    fn vose_tables_are_exact_for_uniform_weights() {
-        // Equal weights scale to exactly 1.0 everywhere: every draw
-        // accepts its first column and the alias row is never consulted.
-        let (mut prob, mut alias) = (Vec::new(), Vec::new());
-        let (mut s, mut l) = (Vec::new(), Vec::new());
-        push_vose(&[2.5; 7], &mut prob, &mut alias, &mut s, &mut l);
-        assert_eq!(prob, vec![1.0; 7]);
     }
 }

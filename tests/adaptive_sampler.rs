@@ -1,15 +1,16 @@
-//! Equivalence and policy tests for the per-vertex adaptive sampling
-//! methods behind `SamplerBuilder`, through the public API only.
+//! Equivalence and policy tests for the two per-vertex sampling methods
+//! — CDF tables, and bounded rejection for churned vertices — through
+//! the public API only.
 //!
-//! * The CDF method is the reference: forcing it through the builder must
-//!   reproduce the legacy `prepare` path bit-for-bit, walks included.
-//! * Alias and rejection consume the RNG differently, so their contract
-//!   is distributional: a two-sample chi-squared over 20k draws against
-//!   the CDF path must not reject, and neither sample may deviate from
-//!   the analytic softmax probabilities.
-//! * Under streaming ingest, the builder must route churned vertices to
-//!   table-free rejection while static hubs keep their alias tables, and
-//!   every emitted walk must remain a temporally valid path.
+//! * The CDF method is the reference: `prepare_churned` with no vertex in
+//!   range must reproduce `prepare` bit-for-bit, walks included.
+//! * Rejection consumes the RNG differently, so its contract is
+//!   distributional: a two-sample chi-squared over 20k draws against the
+//!   CDF path must not reject, and the sample may not deviate from the
+//!   analytic softmax probabilities.
+//! * Under streaming ingest, churned vertices must sample by table-free
+//!   rejection while static hubs keep their CDF tables, and every
+//!   emitted walk must remain a temporally valid path.
 //!
 //! CI additionally runs this suite under `SIMD_FORCE_SCALAR=1` (the
 //! forced-scalar pass).
@@ -17,14 +18,14 @@
 use tgraph::dynamic::DynamicGraph;
 use tgraph::{TemporalEdge, TemporalGraph};
 use twalk::{
-    generate_walks_from_prepared, generate_walks_prepared, generate_walks_serial, PreparedSampler,
-    SamplerBuilder, SamplingMethod, TransitionSampler, WalkConfig, WalkOptions, WalkRng,
+    generate_walks, generate_walks_from_prepared, generate_walks_prepared, generate_walks_serial,
+    SamplerBuildStats, SamplingMethod, TransitionSampler, WalkConfig, WalkRng,
 };
 
 const DRAWS: usize = 20_000;
 
 /// Preferential-attachment stand-in with a heavy-tailed degree
-/// distribution — the regime where hubs earn alias tables.
+/// distribution.
 fn pa_graph() -> TemporalGraph {
     tgraph::gen::preferential_attachment(400, 4, 11).undirected(true).build()
 }
@@ -90,15 +91,11 @@ fn assert_temporally_valid(g: &TemporalGraph, walks: &twalk::WalkSet, label: &st
     }
 }
 
-fn forced(bias: TransitionSampler, method: SamplingMethod, g: &TemporalGraph) -> PreparedSampler {
-    SamplerBuilder::new(bias).method(method).build(g)
-}
-
-/// Alias (O(1) Vose draw) and bounded rejection must track the CDF
-/// tables' distribution on the skewed graph's hub, for both weighted
-/// biases, on the full segment and a mid-segment suffix cut.
+/// Bounded rejection must track the CDF tables' distribution on the
+/// skewed graph's hub, for both weighted biases, on the full segment and
+/// a mid-segment suffix cut.
 #[test]
-fn alias_and_rejection_match_cdf_distributionally() {
+fn rejection_matches_cdf_distributionally() {
     let g = pa_graph();
     let span = g.time_span().max(f64::MIN_POSITIVE);
     let (v, deg) = max_degree_vertex(&g);
@@ -109,134 +106,90 @@ fn alias_and_rejection_match_cdf_distributionally() {
         [TransitionSampler::Softmax, TransitionSampler::SoftmaxRecency].into_iter().enumerate()
     {
         let recency = bias == TransitionSampler::SoftmaxRecency;
-        let cdf = forced(bias, SamplingMethod::Cdf, &g);
-        for method in [SamplingMethod::Alias, SamplingMethod::Rejection] {
-            let adaptive = forced(bias, method, &g);
-            assert_eq!(adaptive.method_of(v), Some(method));
-            for lo in [0usize, deg / 3] {
-                let probs = analytic_probs(&times[lo..], span, recency);
-                let mut cdf_counts = vec![0u64; deg - lo];
-                let mut adaptive_counts = vec![0u64; deg - lo];
-                let mut rng_c = WalkRng::from_stream(99, si as u64, lo as u64);
-                let mut rng_a = WalkRng::from_stream(407, si as u64, lo as u64);
-                for _ in 0..DRAWS {
-                    let pick = adaptive.sample(v, times, lo, f64::NEG_INFINITY, &mut rng_a);
-                    assert!((lo..deg).contains(&pick), "pick {pick} escaped suffix [{lo}, {deg})");
-                    adaptive_counts[pick - lo] += 1;
-                    cdf_counts[cdf.sample(v, times, lo, f64::NEG_INFINITY, &mut rng_c) - lo] += 1;
-                }
-                let (stat, df) = chi_squared_two_sample(&adaptive_counts, &cdf_counts);
+        let cdf = bias.prepare(&g);
+        let rejection = bias.prepare_churned(&g, &[v]);
+        assert_eq!(rejection.method_of(v), Some(SamplingMethod::Rejection));
+        for lo in [0usize, deg / 3] {
+            let probs = analytic_probs(&times[lo..], span, recency);
+            let mut cdf_counts = vec![0u64; deg - lo];
+            let mut rejection_counts = vec![0u64; deg - lo];
+            let mut rng_c = WalkRng::from_stream(99, si as u64, lo as u64);
+            let mut rng_a = WalkRng::from_stream(407, si as u64, lo as u64);
+            for _ in 0..DRAWS {
+                let pick = rejection.sample(v, times, lo, f64::NEG_INFINITY, &mut rng_a);
+                assert!((lo..deg).contains(&pick), "pick {pick} escaped suffix [{lo}, {deg})");
+                rejection_counts[pick - lo] += 1;
+                cdf_counts[cdf.sample(v, times, lo, f64::NEG_INFINITY, &mut rng_c) - lo] += 1;
+            }
+            let (stat, df) = chi_squared_two_sample(&rejection_counts, &cdf_counts);
+            assert!(
+                stat < chi_squared_bound(df),
+                "{bias:?} lo={lo}: chi-squared {stat:.1} over {df} df rejects \
+                 equivalence with the CDF path"
+            );
+            // Both empirical distributions must also track the
+            // analytic probabilities, not merely each other.
+            for (i, &p) in probs.iter().enumerate() {
+                let got = rejection_counts[i] as f64 / DRAWS as f64;
                 assert!(
-                    stat < chi_squared_bound(df),
-                    "{bias:?}/{method} lo={lo}: chi-squared {stat:.1} over {df} df rejects \
-                     equivalence with the CDF path"
+                    (got - p).abs() < 0.025,
+                    "{bias:?} lo={lo} bin {i}: {got:.4} vs analytic {p:.4}"
                 );
-                // Both empirical distributions must also track the
-                // analytic probabilities, not merely each other.
-                for (i, &p) in probs.iter().enumerate() {
-                    let got = adaptive_counts[i] as f64 / DRAWS as f64;
-                    assert!(
-                        (got - p).abs() < 0.025,
-                        "{bias:?}/{method} lo={lo} bin {i}: {got:.4} vs analytic {p:.4}"
-                    );
-                }
             }
         }
     }
 }
 
-/// Forcing CDF through the builder is the legacy `prepare` path under a
-/// new name: identical build stats and bit-identical walks, serial or
-/// parallel. So is Auto when no vertex qualifies for promotion.
+/// Naming no vertex in range as churned is `prepare` under another
+/// name: identical build stats and bit-identical walks, serial or
+/// parallel.
 #[test]
-fn builder_cdf_facade_is_bit_compatible_with_legacy_prepare() {
+fn churning_no_vertex_is_bit_compatible_with_prepare() {
     let g = pa_graph();
     let par = par::ParConfig::with_threads(4);
     for bias in [TransitionSampler::Softmax, TransitionSampler::SoftmaxRecency] {
         let cfg = WalkConfig::new(3, 7).sampler(bias).seed(23);
-        let legacy = bias.prepare(&g);
-        let reference = generate_walks_prepared(&g, &cfg, &legacy, &par);
-        let facades = [
-            forced(bias, SamplingMethod::Cdf, &g),
-            SamplerBuilder::new(bias).alias_degree_threshold(usize::MAX).build(&g),
-        ];
-        for built in facades {
-            assert_eq!(built.stats().table_bytes, legacy.stats().table_bytes);
-            assert_eq!(built.stats().alias_vertices, 0);
+        let plain = bias.prepare(&g);
+        let reference = generate_walks_prepared(&g, &cfg, &plain, &par);
+        let out_of_range = g.num_nodes() as u32 + 5;
+        for built in [bias.prepare_churned(&g, &[]), bias.prepare_churned(&g, &[out_of_range])] {
+            let stats = SamplerBuildStats { build_time: plain.stats().build_time, ..built.stats() };
+            assert_eq!(stats, plain.stats());
             let got = generate_walks_prepared(&g, &cfg, &built, &par);
-            assert_eq!(got, reference, "{bias:?} builder walks diverged");
+            assert_eq!(got, reference, "{bias:?} walks diverged");
             let serial = generate_walks_serial(&g, &cfg, &built);
-            assert_eq!(serial, reference, "{bias:?} builder walks diverged from the oracle");
+            assert_eq!(serial, reference, "{bias:?} walks diverged from the oracle");
         }
     }
 }
 
-/// The Auto policy's promotion is exactly degree-thresholded: the alias
-/// vertex count equals the number of vertices at or above the threshold,
-/// hubs report alias, the rest report cdf, and the budgeted variant
-/// admits hubs first until the byte budget runs out.
-#[test]
-fn auto_promotes_hubs_by_degree_and_respects_the_budget() {
-    let g = pa_graph();
-    let threshold = 32usize;
-    let hubs: Vec<u32> =
-        (0..g.num_nodes() as u32).filter(|&v| g.neighbor_slices(v).0.len() >= threshold).collect();
-    assert!(hubs.len() >= 4, "graph too flat for the test: {} hubs", hubs.len());
-
-    let auto =
-        SamplerBuilder::new(TransitionSampler::Softmax).alias_degree_threshold(threshold).build(&g);
-    let stats = auto.stats();
-    assert_eq!(stats.alias_vertices, hubs.len());
-    assert!(stats.alias_bytes > 0 && stats.alias_bytes < stats.table_bytes);
-    for &v in &hubs {
-        assert_eq!(auto.method_of(v), Some(SamplingMethod::Alias), "hub {v}");
-    }
-    let (small, _) = (0..g.num_nodes() as u32)
-        .map(|v| (v, g.neighbor_slices(v).0.len()))
-        .find(|&(_, d)| d >= 1 && d < threshold)
-        .expect("some low-degree vertex");
-    assert_eq!(auto.method_of(small), Some(SamplingMethod::Cdf));
-
-    // A budget big enough for only the single largest hub demotes the
-    // rest back to CDF; a zero budget demotes everyone.
-    let (top, top_deg) = max_degree_vertex(&g);
-    let budgeted = SamplerBuilder::new(TransitionSampler::Softmax)
-        .alias_degree_threshold(threshold)
-        .alias_budget_bytes(top_deg * 12)
-        .build(&g);
-    assert_eq!(budgeted.stats().alias_vertices, 1);
-    assert_eq!(budgeted.method_of(top), Some(SamplingMethod::Alias));
-    let none = SamplerBuilder::new(TransitionSampler::Softmax)
-        .alias_degree_threshold(threshold)
-        .alias_budget_bytes(0)
-        .build(&g);
-    assert_eq!(none.stats().alias_vertices, 0);
-}
-
-/// Walks drawn through forced alias/rejection (and the mixed Auto
-/// policy) stay temporally valid and match the serial oracle.
+/// Walks drawn with every vertex churned to rejection, and with every
+/// third one, stay temporally valid and match the serial oracle.
 #[test]
 fn adaptive_method_walks_remain_temporally_valid() {
     let g = pa_graph();
     let par = par::ParConfig::with_threads(2);
-    for method in [SamplingMethod::Alias, SamplingMethod::Rejection, SamplingMethod::Auto] {
-        let opts = WalkOptions::new(2, 10)
-            .sampler(TransitionSampler::Softmax)
-            .sampler_method(method)
-            .alias_degree_threshold(16)
-            .seed(5);
-        let walks = opts.generate(&g, &par);
+    let cfg = WalkConfig::new(2, 10).sampler(TransitionSampler::Softmax).seed(5);
+    let all: Vec<u32> = (0..g.num_nodes() as u32).collect();
+    let third: Vec<u32> = all.iter().copied().step_by(3).collect();
+    for (label, churned) in [("all churned", &all), ("every third churned", &third)] {
+        let sampler = cfg.sampler.prepare_churned(&g, churned);
+        let walks = generate_walks_prepared(&g, &cfg, &sampler, &par);
         assert_eq!(walks.num_walks(), 2 * g.num_nodes());
-        assert_temporally_valid(&g, &walks, &method.to_string());
-        assert_eq!(walks, generate_walks_serial(&g, &opts.config(), &opts.prepare(&g)), "{method}");
+        assert_temporally_valid(&g, &walks, label);
+        assert_eq!(walks, generate_walks_serial(&g, &cfg, &sampler), "{label}");
     }
+    // The all-CDF default too, through the one-call entry point.
+    let walks = generate_walks(&g, &cfg, &par);
+    assert_temporally_valid(&g, &walks, "cdf");
 }
 
 /// The streaming scenario the rejection method exists for: a graph
 /// evolving under `DynamicGraph` ingest. Each refresh rebuilds the
 /// sampler with the dirty set marked churned — those vertices must come
-/// out as rejection (no wasted table builds), untouched hubs keep alias,
-/// and the refreshed walks stay valid and match the oracle's rows.
+/// out as rejection (no wasted table builds), untouched hubs keep their
+/// CDF tables, and the refreshed walks stay valid and match the oracle's
+/// rows.
 #[test]
 fn streaming_ingest_keeps_churned_vertices_on_rejection() {
     let mut dyn_g = DynamicGraph::from_graph(&pa_graph());
@@ -255,10 +208,7 @@ fn streaming_ingest_keeps_churned_vertices_on_rejection() {
         let dirty = dyn_g.take_dirty();
         assert!(!dirty.is_empty(), "batch {batch} marked nothing dirty");
         let csr = dyn_g.to_csr();
-        let sampler = SamplerBuilder::new(cfg.sampler)
-            .alias_degree_threshold(16)
-            .churned(dirty.iter().copied())
-            .build(&csr);
+        let sampler = cfg.sampler.prepare_churned(&csr, &dirty);
         for &v in &dirty {
             if !csr.neighbor_slices(v).0.is_empty() {
                 assert_eq!(
@@ -268,10 +218,10 @@ fn streaming_ingest_keeps_churned_vertices_on_rejection() {
                 );
             }
         }
-        // A hub far from the ingested region keeps its alias table.
+        // A hub far from the ingested region keeps its CDF table.
         let (top, _) = max_degree_vertex(&csr);
         if !dirty.contains(&top) {
-            assert_eq!(sampler.method_of(top), Some(SamplingMethod::Alias));
+            assert_eq!(sampler.method_of(top), Some(SamplingMethod::Cdf));
         }
         let got = generate_walks_from_prepared(&csr, &cfg, &sampler, &dirty, &par);
         assert_temporally_valid(&csr, &got, &format!("refresh batch {batch}"));

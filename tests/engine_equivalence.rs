@@ -18,8 +18,8 @@
 use par::ParConfig;
 use tgraph::{GraphBuilder, TemporalEdge, TemporalGraph};
 use twalk::{
-    generate_walks_from_prepared, generate_walks_prepared, generate_walks_serial, SamplerBuilder,
-    SamplingMethod, TransitionSampler, WalkConfig,
+    generate_walks_from_prepared, generate_walks_prepared, generate_walks_serial,
+    TransitionSampler, WalkConfig,
 };
 
 const SAMPLERS: [TransitionSampler; 4] = [
@@ -124,16 +124,17 @@ fn refresh_paths_are_engine_independent() {
     }
 }
 
-/// Identity under each forced per-vertex sampling method: cdf, alias and
-/// rejection tables all draw the softmax distribution, but each consumes
-/// the RNG its own way, so every geometry must reproduce the oracle for
-/// every method.
+/// Identity under each per-vertex sampling method on every vertex: CDF
+/// tables (`prepare`) and rejection (every vertex churned) both draw the
+/// softmax distribution, but each consumes the RNG its own way, so every
+/// geometry must reproduce the oracle for both methods.
 #[test]
 fn forced_sampling_methods_are_bit_identical_across_engines() {
     let sampler = TransitionSampler::Softmax;
     for (name, g) in graphs() {
-        for method in [SamplingMethod::Cdf, SamplingMethod::Alias, SamplingMethod::Rejection] {
-            let prepared = SamplerBuilder::new(sampler).method(method).build(&g);
+        let all: Vec<u32> = (0..g.num_nodes() as u32).collect();
+        for (method, churned) in [("cdf", &[][..]), ("rejection", &all[..])] {
+            let prepared = sampler.prepare_churned(&g, churned);
             let cfg = WalkConfig::new(4, 7).sampler(sampler).seed(29);
             let reference = generate_walks_serial(&g, &cfg, &prepared);
             for (threads, chunk) in [(1usize, 13usize), (4, 64), (8, 256)] {

@@ -14,8 +14,7 @@ use std::io::Cursor;
 use par::ParConfig;
 use tgraph::{GraphBuilder, TemporalEdge, TemporalGraph};
 use twalk::{
-    generate_walks_prepared, generate_walks_serial, PreparedSampler, SamplerBuilder,
-    SamplingMethod, TransitionSampler, WalkConfig,
+    generate_walks_prepared, generate_walks_serial, PreparedSampler, TransitionSampler, WalkConfig,
 };
 
 const SAMPLERS: [TransitionSampler; 4] = [
@@ -90,16 +89,17 @@ fn walks_from_reopened_store_are_bit_identical() {
     }
 }
 
-/// Same property for the adaptive method layouts: a builder-produced
-/// sampler with a per-vertex method map (CDF + alias + rejection mix)
-/// must draw identically after a store round trip.
+/// Same property for the layouts with a per-vertex method map: some
+/// vertices churned (CDF + rejection mix), and every vertex churned (no
+/// CDF tables at all) must draw identically after a store round trip.
 #[test]
 fn adaptive_method_layouts_round_trip() {
     let g = tgraph::gen::preferential_attachment(300, 6, 7).undirected(true).build();
+    let all: Vec<u32> = (0..g.num_nodes() as u32).collect();
+    let third: Vec<u32> = all.iter().copied().step_by(3).collect();
     for bias in [TransitionSampler::Softmax, TransitionSampler::SoftmaxRecency] {
-        for method in [SamplingMethod::Auto, SamplingMethod::Alias, SamplingMethod::Rejection] {
-            let prepared =
-                SamplerBuilder::new(bias).method(method).alias_degree_threshold(8).build(&g);
+        for (method, churned) in [("some churned", &third), ("all churned", &all)] {
+            let prepared = bias.prepare_churned(&g, churned);
             let cfg = WalkConfig::new(3, 6).sampler(bias).seed(51);
             let reference = generate_walks_serial(&g, &cfg, &prepared);
             let (g2, s2) = round_trip(&g, Some(&prepared));
@@ -107,7 +107,6 @@ fn adaptive_method_layouts_round_trip() {
             // Stats must survive: the method split is metadata, not
             // rederived, so a restored sampler reports the same shape.
             assert_eq!(s2.stats().cdf_vertices, prepared.stats().cdf_vertices);
-            assert_eq!(s2.stats().alias_vertices, prepared.stats().alias_vertices);
             assert_eq!(s2.stats().rejection_vertices, prepared.stats().rejection_vertices);
             let got = generate_walks_prepared(&g2, &cfg, &s2, &ParConfig::with_threads(4));
             assert_eq!(got, reference, "{bias} with {method} diverged after round trip");
