@@ -29,6 +29,7 @@
 //! ```
 
 use embed::EmbeddingMatrix;
+use par::ParConfig;
 use tgraph::dynamic::DynamicGraph;
 use tgraph::{TemporalEdge, TemporalGraph};
 use twalk::{generate_walks_from_prepared, generate_walks_prepared};
@@ -109,6 +110,15 @@ impl IncrementalEmbedder {
     /// calls re-walk only the dirty vertices and fine-tune with a warm
     /// start. With no pending changes this is a cheap no-op.
     pub fn refresh(&mut self) -> &EmbeddingMatrix {
+        let par = self.hp.par_config();
+        self.refresh_on(&par)
+    }
+
+    /// [`refresh`](Self::refresh), with a warm refresh (any call after the
+    /// first) run on `warm` instead of the configured pool. The first
+    /// call trains from scratch on the configured pool either way: it is
+    /// set-up work, not upkeep.
+    pub fn refresh_on(&mut self, warm: &ParConfig) -> &EmbeddingMatrix {
         if let Some(current) = &self.emb {
             if self.graph.dirty_count() == 0 && self.graph.num_nodes() == current.num_nodes() {
                 self.last_sampler = RefreshSamplerStats::default();
@@ -117,7 +127,7 @@ impl IncrementalEmbedder {
             }
         }
         let csr = self.graph.to_csr();
-        let par = self.hp.par_config();
+        let par = if self.emb.is_some() { *warm } else { self.hp.par_config() };
         let seed_bump = self.refreshes as u64;
         let walk_cfg = self.hp.walk_config().seed(self.hp.seed.wrapping_add(seed_bump));
 
@@ -289,6 +299,22 @@ mod tests {
         assert_eq!(inc.last_sampler_stats(), RefreshSamplerStats::default());
         assert_eq!(inc.embedding().cloned(), before);
         assert_eq!(inc.refreshes(), 3);
+    }
+
+    #[test]
+    fn warm_pool_applies_after_the_first_refresh_only() {
+        let g = base_graph();
+        let hp = Hyperparams::paper_optimal().quick_test().with_threads(1);
+        let (mut capped, mut plain) =
+            (IncrementalEmbedder::new(hp.clone(), &g), IncrementalEmbedder::new(hp, &g));
+        // The first refresh trains from scratch on the configured single
+        // thread: a wider warm pool must not change it.
+        let first = capped.refresh_on(&ParConfig::with_threads(4)).clone();
+        assert_eq!(&first, plain.refresh());
+        capped.ingest([TemporalEdge::new(0, 7, 2.0)]);
+        plain.ingest([TemporalEdge::new(0, 7, 2.0)]);
+        let warm = capped.refresh_on(&ParConfig::with_threads(1)).clone();
+        assert_eq!(&warm, plain.refresh());
     }
 
     #[test]

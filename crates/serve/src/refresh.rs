@@ -14,6 +14,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
+use par::ParConfig;
 use rwalk_core::IncrementalEmbedder;
 use tgraph::TemporalEdge;
 
@@ -47,6 +48,15 @@ impl std::fmt::Debug for Refresher {
     }
 }
 
+/// Pool for warm refreshes on a service whose own pool is `service`:
+/// `max(1, threads − 1)` threads. The refresher runs back to back under
+/// steady ingest, so a refresh on every core would take them all from the
+/// reactor and the shards, and a faster refresh would only mean more of
+/// them.
+fn warm_refresh_pool(service: &ParConfig) -> ParConfig {
+    ParConfig::with_threads(service.threads().saturating_sub(1))
+}
+
 impl Refresher {
     /// Spawns the refresh loop. Every `interval` (or sooner, when edges
     /// arrive) it drains the inbox; if anything was queued it ingests,
@@ -54,13 +64,18 @@ impl Refresher {
     ///
     /// The embedder should have had one initial `refresh()` already (its
     /// embedding feeding the store's first snapshot), so background
-    /// cycles are incremental rather than full rebuilds.
+    /// cycles are incremental rather than full rebuilds. Those warm
+    /// refreshes run on one thread fewer than the service's pool `par`
+    /// (but at least one), leaving a core to the read path; a never-warmed
+    /// embedder's from-scratch first refresh keeps its own pool.
     pub fn spawn(
         store: Arc<EmbeddingStore>,
         mut embedder: IncrementalEmbedder,
         metrics: Arc<Metrics>,
         interval: Duration,
+        par: &ParConfig,
     ) -> Self {
+        let warm = warm_refresh_pool(par);
         let shared = Arc::new(RefreshShared {
             state: Mutex::new(RefreshState { inbox: Vec::new(), accepted_nodes: 0, stop: false }),
             wake: Condvar::new(),
@@ -90,7 +105,7 @@ impl Refresher {
                 // The expensive part runs without any lock held: queries
                 // keep reading the old snapshot, ingestion keeps queueing.
                 embedder.ingest(pending);
-                let emb = embedder.refresh().clone();
+                let emb = embedder.refresh_on(&warm).clone();
                 worker_store.publish_embedding(emb);
                 metrics.record_refresh();
             })
@@ -160,6 +175,14 @@ mod tests {
     }
 
     #[test]
+    fn warm_refreshes_leave_one_thread_to_the_service() {
+        for (service, warm) in [(1, 1), (2, 1), (3, 2), (8, 7)] {
+            let pool = warm_refresh_pool(&ParConfig::with_threads(service));
+            assert_eq!(pool.threads(), warm, "service on {service} threads");
+        }
+    }
+
+    #[test]
     fn enqueued_edges_trigger_a_published_refresh() {
         let (store, embedder) = serving_setup();
         let metrics = Arc::new(Metrics::new());
@@ -168,6 +191,7 @@ mod tests {
             embedder,
             Arc::clone(&metrics),
             Duration::from_millis(500), // long: the enqueue wake must drive it
+            &ParConfig::with_threads(2),
         );
         let n = store.load().emb.num_nodes() as u32;
         assert_eq!(refresher.enqueue(vec![TemporalEdge::new(0, n, 2.0)]), Ok(1));
@@ -185,8 +209,13 @@ mod tests {
     fn idle_refresher_publishes_nothing() {
         let (store, embedder) = serving_setup();
         let metrics = Arc::new(Metrics::new());
-        let _refresher =
-            Refresher::spawn(Arc::clone(&store), embedder, metrics, Duration::from_millis(5));
+        let _refresher = Refresher::spawn(
+            Arc::clone(&store),
+            embedder,
+            metrics,
+            Duration::from_millis(5),
+            &ParConfig::with_threads(2),
+        );
         thread::sleep(Duration::from_millis(60));
         assert_eq!(store.version(), 1, "idle loop must not republish");
     }
@@ -195,8 +224,13 @@ mod tests {
     fn drop_processes_queued_edges_before_joining() {
         let (store, embedder) = serving_setup();
         let metrics = Arc::new(Metrics::new());
-        let refresher =
-            Refresher::spawn(Arc::clone(&store), embedder, metrics, Duration::from_secs(60));
+        let refresher = Refresher::spawn(
+            Arc::clone(&store),
+            embedder,
+            metrics,
+            Duration::from_secs(60),
+            &ParConfig::with_threads(2),
+        );
         refresher.enqueue(vec![TemporalEdge::new(1, 2, 2.5)]).expect("known nodes");
         drop(refresher); // joins; the queued edge must not be lost
         assert!(store.version() >= 2, "queued edge dropped at shutdown");

@@ -97,7 +97,8 @@ impl Service {
 
     /// Attaches a background refresher, enabling the `ingest` op. The
     /// embedder must be tracking the same graph the store's snapshot was
-    /// built from.
+    /// built from. Warm refreshes run on one thread fewer than this
+    /// service's pool (see [`Refresher::spawn`]).
     #[must_use]
     pub fn with_refresher(mut self, embedder: IncrementalEmbedder, interval: Duration) -> Self {
         self.refresher = Some(Refresher::spawn(
@@ -105,6 +106,7 @@ impl Service {
             embedder,
             Arc::clone(&self.metrics),
             interval,
+            self.engine.par(),
         ));
         self
     }
