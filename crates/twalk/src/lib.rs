@@ -74,6 +74,6 @@ pub use engine::{
 pub use rng::WalkRng;
 pub use sampler::{
     PreparedSampler, SamplerBuildStats, SamplerTables, SamplingMethod, TransitionBias,
-    VertexSampler, WeightedTables,
+    WeightedTables,
 };
 pub use walkset::{WalkIter, WalkSet, WalkSetBuilder};
