@@ -46,7 +46,9 @@ mod tests {
         // prefetching ahead of bounds checks.
         let data = [1u64, 2, 3];
         prefetch_read(data.as_ptr());
-        prefetch_read(unsafe { data.as_ptr().add(1000) });
+        // `wrapping_add`: an out-of-bounds `add` would itself be undefined
+        // behavior, before any prefetch.
+        prefetch_read(data.as_ptr().wrapping_add(1000));
         prefetch_read(std::ptr::null::<u64>());
     }
 }
