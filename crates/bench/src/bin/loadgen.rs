@@ -184,8 +184,8 @@ fn parse_mix(spec: &str) -> Vec<(Op, u32)> {
     mix
 }
 
-/// Zipfian sampler over `0..n` by inverse-CDF lookup: exact, no
-/// rejection, one binary search per draw.
+/// Zipfian sampler over `0..n` by inverse-CDF lookup: exact, one binary
+/// search per draw.
 struct Zipf {
     cdf: Vec<f64>,
 }

@@ -639,12 +639,24 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
             s.checksum
         );
     }
+    // Checksums passed, but the meta sections are still untrusted: their
+    // word counts are checked before any word is read.
+    let words = |name: &str, want: usize| -> Result<Vec<u64>, String> {
+        let w = c.u64s(name).map_err(|e| format!("inspect {path}: {e}"))?;
+        if w.len() != want {
+            return Err(format!(
+                "inspect {path}: section {name:?} has {} words, expected {want}",
+                w.len()
+            ));
+        }
+        Ok(w.to_vec())
+    };
     match c.kind() {
         store::ArtifactKind::Graph => {
-            let meta = c.u64s("meta").map_err(|e| e.to_string())?;
+            let meta = words("meta", 2)?;
             println!("graph: {} nodes, {} edges", meta[0], meta[1]);
             if c.has_section("smet") {
-                let s = c.u64s("smet").map_err(|e| e.to_string())?;
+                let s = words("smet", 2)?;
                 let bias = match s[0] {
                     0 => "uniform".to_string(),
                     1 => "linear".to_string(),
@@ -652,13 +664,23 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
                     3 => "recency".to_string(),
                     other => format!("unknown({other})"),
                 };
-                println!("sampler: {bias} (cdf={}, rejection={} vertices)", s[3], s[4]);
+                // A weighted sampler's tables are its CDF weights plus
+                // their row bounds, which are the CSR offsets.
+                let bytes = if c.has_section("scdf") {
+                    let len = |name: &str| {
+                        c.sections().iter().find(|e| e.name_str() == name).map_or(0, |e| e.len)
+                    };
+                    len("goff") + len("scdf")
+                } else {
+                    0
+                };
+                println!("sampler: {bias}, {bytes} table bytes");
             } else {
                 println!("sampler: none packed");
             }
         }
         store::ArtifactKind::Snapshot => {
-            let meta = c.u64s("meta").map_err(|e| e.to_string())?;
+            let meta = words("meta", 6)?;
             println!(
                 "snapshot: version {}, {} nodes x dim {}, {} layers, head {}",
                 meta[0],

@@ -118,6 +118,42 @@ fn store_paths_that_are_not_valid_store_files_are_rejected() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Writes a well-checksummed store image of `kind` whose sections are
+/// the given `u64` word lists.
+fn write_store(path: &std::path::Path, kind: store::ArtifactKind, sections: &[(&str, &[u64])]) {
+    let file = std::fs::File::create(path).unwrap();
+    let mut w = store::StoreWriter::new(std::io::BufWriter::new(file), kind).unwrap();
+    for (name, words) in sections {
+        w.begin_section(name, 8).unwrap();
+        w.write_u64s(words).unwrap();
+        w.end_section().unwrap();
+    }
+    w.finish().unwrap();
+}
+
+#[test]
+fn inspect_refuses_short_meta_sections_without_panicking() {
+    let dir = std::env::temp_dir().join(format!("rwalk-shortmeta-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // Every checksum is valid; only the meta word counts are wrong.
+    let graph = dir.join("graph.rws");
+    write_store(
+        &graph,
+        store::ArtifactKind::Graph,
+        &[("meta", &[1, 0]), ("goff", &[0, 0]), ("smet", &[2])],
+    );
+    let snapshot = dir.join("snapshot.rws");
+    write_store(&snapshot, store::ArtifactKind::Snapshot, &[("meta", &[1])]);
+    for (path, section) in [(&graph, "smet"), (&snapshot, "meta")] {
+        let out = rwalk(&["inspect", path.to_str().unwrap()]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{path:?}: {err}");
+        assert!(!err.contains("panicked"), "{path:?}: {err}");
+        assert!(err.contains(&format!("section \"{section}\" has 1 words")), "{path:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn accepted_spellings_are_case_and_separator_insensitive() {
     // `datasets` runs no pipeline, so this stays fast while still going

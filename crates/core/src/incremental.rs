@@ -36,15 +36,6 @@ use twalk::{generate_walks_from_prepared, generate_walks_prepared};
 
 use crate::Hyperparams;
 
-/// Sampling methods used by the last refresh, per vertex class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RefreshSamplerStats {
-    /// Vertices sampled from inverse-CDF tables.
-    pub cdf_vertices: usize,
-    /// Vertices (the churned set) sampled by bounded rejection.
-    pub rejection_vertices: usize,
-}
-
 /// Maintains node embeddings over a stream of edge insertions.
 #[derive(Debug)]
 pub struct IncrementalEmbedder {
@@ -52,7 +43,6 @@ pub struct IncrementalEmbedder {
     graph: DynamicGraph,
     emb: Option<EmbeddingMatrix>,
     refreshes: usize,
-    last_sampler: RefreshSamplerStats,
 }
 
 impl IncrementalEmbedder {
@@ -60,13 +50,7 @@ impl IncrementalEmbedder {
     /// considered dirty, so the first [`refresh`](Self::refresh) is a full
     /// build).
     pub fn new(hp: Hyperparams, base: &TemporalGraph) -> Self {
-        Self {
-            hp,
-            graph: DynamicGraph::from_graph(base),
-            emb: None,
-            refreshes: 0,
-            last_sampler: RefreshSamplerStats::default(),
-        }
+        Self { hp, graph: DynamicGraph::from_graph(base), emb: None, refreshes: 0 }
     }
 
     /// Appends a batch of temporal edges.
@@ -82,13 +66,6 @@ impl IncrementalEmbedder {
     /// Number of refreshes performed so far.
     pub fn refreshes(&self) -> usize {
         self.refreshes
-    }
-
-    /// Per-method vertex counts of the sampler the last refresh built: all
-    /// zeros before the first refresh and after a no-op refresh, which
-    /// builds none.
-    pub fn last_sampler_stats(&self) -> RefreshSamplerStats {
-        self.last_sampler
     }
 
     /// Current CSR snapshot of the evolving graph.
@@ -121,7 +98,6 @@ impl IncrementalEmbedder {
     pub fn refresh_on(&mut self, warm: &ParConfig) -> &EmbeddingMatrix {
         if let Some(current) = &self.emb {
             if self.graph.dirty_count() == 0 && self.graph.num_nodes() == current.num_nodes() {
-                self.last_sampler = RefreshSamplerStats::default();
                 self.refreshes += 1;
                 return self.emb.as_ref().expect("just checked");
             }
@@ -134,7 +110,6 @@ impl IncrementalEmbedder {
         match self.emb.take() {
             None => {
                 let sampler = walk_cfg.sampler.prepare(&csr);
-                self.last_sampler = method_counts(&sampler);
                 let walks = generate_walks_prepared(&csr, &walk_cfg, &sampler, &par);
                 self.graph.take_dirty();
                 self.emb = Some(embed::train(&walks, csr.num_nodes(), &self.hp.w2v_config(), &par));
@@ -143,13 +118,8 @@ impl IncrementalEmbedder {
                 let dirty = self.graph.take_dirty();
                 // The CSR changes between refreshes, so the sampler must be
                 // rebuilt — but one build now covers every dirty vertex's
-                // walks instead of paying direct evaluation per step. The
-                // dirty vertices themselves are churning under ingest, so
-                // they sample by table-free bounded rejection instead of
-                // rebuilding tables that the next batch would invalidate
-                // again.
-                let sampler = walk_cfg.sampler.prepare_churned(&csr, &dirty);
-                self.last_sampler = method_counts(&sampler);
+                // walks instead of paying direct evaluation per step.
+                let sampler = walk_cfg.sampler.prepare(&csr);
                 let walks = generate_walks_from_prepared(&csr, &walk_cfg, &sampler, &dirty, &par);
                 if walks.num_walks() == 0 {
                     // The vertex space grew but no dirty vertex produced a
@@ -174,11 +144,6 @@ impl IncrementalEmbedder {
         self.refreshes += 1;
         self.emb.as_ref().expect("embedding just computed")
     }
-}
-
-fn method_counts(sampler: &twalk::PreparedSampler) -> RefreshSamplerStats {
-    let s = sampler.stats();
-    RefreshSamplerStats { cdf_vertices: s.cdf_vertices, rejection_vertices: s.rejection_vertices }
 }
 
 #[cfg(test)]
@@ -269,36 +234,6 @@ mod tests {
         assert_eq!(emb.num_nodes(), n + 2);
         assert!(emb.get(n as u32).iter().any(|&x| x != 0.0));
         assert!(emb.get(n as u32 + 1).iter().any(|&x| x != 0.0));
-    }
-
-    #[test]
-    fn dirty_vertices_are_resampled_by_rejection() {
-        let g = base_graph();
-        let mut inc = IncrementalEmbedder::new(Hyperparams::paper_optimal().quick_test(), &g);
-        inc.refresh();
-        // The full build has no churned set.
-        assert_eq!(inc.last_sampler_stats().rejection_vertices, 0);
-        inc.ingest([TemporalEdge::new(0, 1, 2.0), TemporalEdge::new(1, 2, 2.1)]);
-        inc.refresh();
-        let stats = inc.last_sampler_stats();
-        // Vertices 0, 1, 2 churned; all have out-edges in this graph.
-        assert_eq!(stats.rejection_vertices, 3, "{stats:?}");
-        assert!(stats.cdf_vertices > 0, "{stats:?}");
-    }
-
-    #[test]
-    fn no_op_refresh_zeroes_sampler_stats() {
-        let g = base_graph();
-        let mut inc = IncrementalEmbedder::new(Hyperparams::paper_optimal().quick_test(), &g);
-        inc.refresh();
-        inc.ingest([TemporalEdge::new(0, 1, 2.0)]);
-        inc.refresh();
-        assert_ne!(inc.last_sampler_stats(), RefreshSamplerStats::default());
-        let before = inc.embedding().cloned();
-        inc.refresh();
-        assert_eq!(inc.last_sampler_stats(), RefreshSamplerStats::default());
-        assert_eq!(inc.embedding().cloned(), before);
-        assert_eq!(inc.refreshes(), 3);
     }
 
     #[test]

@@ -38,6 +38,6 @@ mod report;
 pub use error::PipelineError;
 pub use extensions::LabeledEdge;
 pub use hyper::{EmbeddingStrategy, Hyperparams};
-pub use incremental::{IncrementalEmbedder, RefreshSamplerStats};
+pub use incremental::IncrementalEmbedder;
 pub use pipeline::{Backend, LinkModel, Pipeline};
 pub use report::{PhaseTimes, ServeStats, TaskKind, TaskMetrics, TaskReport};

@@ -117,12 +117,6 @@ impl TaskReport {
                     b.table_bytes as f64 / 1024.0,
                     b.build_time.as_secs_f64(),
                 ));
-                if b.rejection_vertices > 0 {
-                    s.push_str(&format!(
-                        " (cdf {}, rejection {})",
-                        b.cdf_vertices, b.rejection_vertices,
-                    ));
-                }
             }
         }
         s

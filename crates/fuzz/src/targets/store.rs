@@ -33,9 +33,8 @@ fn graph_image() -> &'static [u8] {
     static IMAGE: OnceLock<Vec<u8>> = OnceLock::new();
     IMAGE.get_or_init(|| {
         let g = tgraph::gen::preferential_attachment(24, 3, 5).undirected(true).build();
-        // Churned vertices put the method map (`smth`) beside the CDF
-        // sections.
-        let prepared = twalk::TransitionSampler::Softmax.prepare_churned(&g, &[0, 5, 9]);
+        // A softmax sampler puts its CDF weights (`scdf`) beside the CSR.
+        let prepared = twalk::TransitionSampler::Softmax.prepare(&g);
         let mut cur = Cursor::new(Vec::new());
         store::pack_graph(&mut cur, &g, Some(&prepared)).expect("pack graph");
         cur.into_inner()
@@ -105,6 +104,12 @@ fn probe(bytes: &[u8]) -> Result<(), String> {
             if dsts.len() != times.len() {
                 return Err(format!("torn neighbor slices at vertex {u}"));
             }
+        }
+        // An opened sampler was checked against the graph, so walking it
+        // must not panic either.
+        if let Some(sampler) = &opened.sampler {
+            let cfg = twalk::WalkConfig::new(1, 4).seed(1);
+            twalk::generate_walks_prepared(g, &cfg, sampler, &par::ParConfig::with_threads(1));
         }
     }
     let _ = store::open_snapshot_bytes(bytes);

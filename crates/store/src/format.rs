@@ -30,8 +30,10 @@ pub const ENDIAN_MARK: u64 = 0x0123_4567_89AB_CDEF;
 
 /// The one format version this build writes and reads. Version 2
 /// dropped the alias-table sections and the `alias_vertices` word of the
-/// graph artifact's sampler meta (see [`crate::pack_graph`]).
-pub const FORMAT_VERSION: u32 = 2;
+/// graph artifact's sampler meta; version 3 dropped the method map and
+/// the CDF row starts, whose rows are now the CSR offsets, and shrank
+/// that meta to `[bias_tag, span_bits]` (see [`crate::pack_graph`]).
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Header size in bytes; also the offset of the first section.
 pub const HEADER_LEN: usize = 64;

@@ -11,16 +11,14 @@
 //! | `gdst` | u32  | CSR destination node ids, `m` entries             |
 //! | `gtim` | f64  | CSR edge timestamps (IEEE-754 bits), `m` entries  |
 //! | `smet` | u64  | sampler meta (present iff a sampler was packed)   |
-//! | `smth` | u8   | per-vertex method bytes (weighted, churned only)  |
-//! | `scst` | u64  | CDF row starts, `n + 1` entries                   |
-//! | `scdf` | f64  | CDF cumulative weights                            |
+//! | `scdf` | f64  | CDF cumulative weights, `m` entries (weighted)    |
 //!
-//! `smet` words: `[bias_tag, span_bits, has_methods, cdf_vertices,
-//! rejection_vertices]`, with `bias_tag` 0 = uniform, 1 = linear-time,
-//! 2 = softmax, 3 = softmax-recency, and `span_bits` the `f64` bit
-//! pattern of the graph-wide span (0 for closed forms). Method bytes are
-//! 0 = CDF, 1 = rejection; `scst`/`scdf` are absent when every vertex
-//! samples by rejection.
+//! `smet` words: `[bias_tag, span_bits]`, with `bias_tag` 0 = uniform,
+//! 1 = linear-time, 2 = softmax, 3 = softmax-recency, and `span_bits`
+//! the `f64` bit pattern of the graph-wide span (0 for closed forms).
+//! The CDF's rows are the CSR's: `goff[v]..goff[v + 1]` is vertex `v`'s
+//! slice of `scdf`, so opening indexes the weights by a second zero-copy
+//! view of `goff`.
 //!
 //! Opening reconstructs the graph through [`TemporalGraph::from_csr_parts`]
 //! and the sampler through [`PreparedSampler::from_weighted_tables`], so
@@ -31,7 +29,7 @@ use std::io::{Seek, Write};
 use std::path::Path;
 
 use tgraph::TemporalGraph;
-use twalk::{PreparedSampler, SamplerTables, SamplingMethod, TransitionSampler, WeightedTables};
+use twalk::{PreparedSampler, SamplerTables, TransitionSampler, WeightedTables};
 
 use crate::format::ArtifactKind;
 use crate::reader::Container;
@@ -93,49 +91,20 @@ pub fn pack_graph<W: Write + Seek>(
             what: "sampler".into(),
             message: "custom bias functions have no on-disk representation".into(),
         })?;
-        let stats = s.stats();
-        match tables {
-            SamplerTables::Uniform => {
-                w.begin_section("smet", 8)?;
-                w.write_u64s(&[BIAS_UNIFORM, 0, 0, 0, 0])?;
-                w.end_section()?;
+        let (bias_tag, span, cdf) = match tables {
+            SamplerTables::Uniform => (BIAS_UNIFORM, 0.0, None),
+            SamplerTables::LinearTime => (BIAS_LINEAR, 0.0, None),
+            SamplerTables::Weighted { recency, span, cdf } => {
+                (if recency { BIAS_RECENCY } else { BIAS_SOFTMAX }, span, Some(cdf))
             }
-            SamplerTables::LinearTime => {
-                w.begin_section("smet", 8)?;
-                w.write_u64s(&[BIAS_LINEAR, 0, 0, 0, 0])?;
-                w.end_section()?;
-            }
-            SamplerTables::Weighted { recency, span, methods, cdf } => {
-                let bias_tag = if recency { BIAS_RECENCY } else { BIAS_SOFTMAX };
-                w.begin_section("smet", 8)?;
-                w.write_u64s(&[
-                    bias_tag,
-                    span.to_bits(),
-                    methods.is_some() as u64,
-                    stats.cdf_vertices as u64,
-                    stats.rejection_vertices as u64,
-                ])?;
-                w.end_section()?;
-                if let Some(ms) = methods {
-                    w.begin_section("smth", 1)?;
-                    let mut chunk = [0u8; 8192];
-                    for group in ms.chunks(chunk.len()) {
-                        for (i, m) in group.iter().enumerate() {
-                            chunk[i] = m.as_u8();
-                        }
-                        w.write_bytes(&chunk[..group.len()])?;
-                    }
-                    w.end_section()?;
-                }
-                if let Some((starts, weights)) = cdf {
-                    w.begin_section("scst", 8)?;
-                    w.write_usizes(starts)?;
-                    w.end_section()?;
-                    w.begin_section("scdf", 8)?;
-                    w.write_f64s(weights)?;
-                    w.end_section()?;
-                }
-            }
+        };
+        w.begin_section("smet", 8)?;
+        w.write_u64s(&[bias_tag, span.to_bits()])?;
+        w.end_section()?;
+        if let Some(cdf) = cdf {
+            w.begin_section("scdf", 8)?;
+            w.write_f64s(cdf)?;
+            w.end_section()?;
         }
     }
 
@@ -209,18 +178,19 @@ fn open_graph_container(c: Container) -> Result<OpenedGraph, StoreError> {
     let graph = TemporalGraph::from_csr_parts(offsets, dsts, times)
         .map_err(|e| StoreError::Invalid { what: "graph CSR".into(), message: e.to_string() })?;
 
-    let sampler = if c.has_section("smet") { Some(open_sampler(&c, n, m)?) } else { None };
+    let sampler = if c.has_section("smet") { Some(open_sampler(&c, &graph)?) } else { None };
 
     Ok(OpenedGraph { graph, sampler, mapped: c.is_mapped(), file_len: c.file_len() })
 }
 
-fn open_sampler(c: &Container, n: usize, m: usize) -> Result<PreparedSampler, StoreError> {
+fn open_sampler(c: &Container, g: &TemporalGraph) -> Result<PreparedSampler, StoreError> {
     let invalid =
         |message: String| StoreError::Invalid { what: "sampler sections".into(), message };
     let meta = c.u64s("smet")?;
-    if meta.len() != 5 {
-        return Err(invalid(format!("sampler meta has {} words, expected 5", meta.len())));
+    if meta.len() != 2 {
+        return Err(invalid(format!("sampler meta has {} words, expected 2", meta.len())));
     }
+    let (n, m) = (g.num_nodes(), g.num_edges());
     match meta[0] {
         BIAS_UNIFORM => {
             PreparedSampler::from_closed_form(TransitionSampler::Uniform, n, m).map_err(invalid)
@@ -229,36 +199,15 @@ fn open_sampler(c: &Container, n: usize, m: usize) -> Result<PreparedSampler, St
             PreparedSampler::from_closed_form(TransitionSampler::LinearTime, n, m).map_err(invalid)
         }
         tag @ (BIAS_SOFTMAX | BIAS_RECENCY) => {
-            let methods = if meta[2] != 0 {
-                // The method map is |V| bytes — copied (not zero-copy)
-                // because each byte must be validated into the enum;
-                // reinterpreting arbitrary bytes as `SamplingMethod`
-                // would be undefined behavior on a corrupt file.
-                let raw = c.section_bytes("smth")?;
-                let mut ms = Vec::with_capacity(raw.len());
-                for (v, &b) in raw.iter().enumerate() {
-                    ms.push(
-                        SamplingMethod::from_u8(b)
-                            .map_err(|e| invalid(format!("vertex {v}: {e}")))?,
-                    );
-                }
-                Some(ms)
-            } else {
-                None
-            };
-            let cdf = if c.has_section("scst") {
-                Some((c.usizes("scst")?, c.f64s("scdf")?))
-            } else {
-                None
-            };
+            // `goff` was validated as the graph's CSR offsets above; the
+            // CDF rows are those offsets, lent by a second mapped view.
             let tables = WeightedTables {
                 recency: tag == BIAS_RECENCY,
                 span: f64::from_bits(meta[1]),
-                methods,
-                cdf,
+                rows: c.usizes("goff")?,
+                cdf: c.f64s("scdf")?,
             };
-            let counts = (meta[3] as usize, meta[4] as usize);
-            PreparedSampler::from_weighted_tables(tables, n, m, counts).map_err(invalid)
+            PreparedSampler::from_weighted_tables(tables, g).map_err(invalid)
         }
         other => Err(invalid(format!("unknown bias tag {other}"))),
     }
@@ -309,14 +258,10 @@ mod tests {
     #[test]
     fn weighted_sampler_round_trips_with_stats() {
         let g = small_graph();
-        let prepared = TransitionSampler::Softmax.prepare_churned(&g, &[0, 7, 30]);
-        let stats = prepared.stats();
+        let prepared = TransitionSampler::Softmax.prepare(&g);
         let opened = open_graph_bytes(&pack_bytes(&g, Some(&prepared))).expect("open");
         let s = opened.sampler.expect("sampler present");
-        let s2 = s.stats();
-        assert_eq!(s2.cdf_vertices, stats.cdf_vertices);
-        assert_eq!(s2.rejection_vertices, stats.rejection_vertices);
-        assert_eq!(s2.table_bytes, stats.table_bytes);
+        assert_eq!(s.stats().table_bytes, prepared.stats().table_bytes);
     }
 
     #[test]
@@ -327,23 +272,5 @@ mod tests {
         let mut cur = Cursor::new(Vec::new());
         let err = pack_graph(&mut cur, &g, Some(&prepared)).unwrap_err();
         assert!(matches!(err, StoreError::Invalid { .. }));
-    }
-
-    #[test]
-    fn corrupt_method_byte_is_a_structured_error() {
-        let g = small_graph();
-        let prepared = TransitionSampler::Softmax.prepare_churned(&g, &[3]);
-        let bytes = pack_bytes(&g, Some(&prepared));
-        let c = Container::from_bytes(&bytes).expect("container");
-        let off = c.sections().iter().find(|s| s.name_str() == "smth").expect("smth entry").offset
-            as usize;
-        drop(c);
-        // A corrupt method byte flips the payload checksum too, so to
-        // reach the semantic check we must rewrite the file. Simpler:
-        // verify from_u8 rejects, and that checksum catches the raw flip.
-        let mut bad = bytes.clone();
-        bad[off] = 200;
-        assert!(matches!(open_graph_bytes(&bad), Err(StoreError::SectionChecksum { .. })));
-        assert!(SamplingMethod::from_u8(200).is_err());
     }
 }

@@ -5,10 +5,9 @@
 //! * **Graphs** — the CSR arrays of a [`tgraph::TemporalGraph`], plus
 //!   optionally the prepared sampler tables built for it, so a run can
 //!   `open` instead of re-ingesting and re-preparing ([`open_graph`]).
-//! * **Sampler tables** — packed alongside their graph: CDF prefix
-//!   sums and the per-vertex method map, restored
-//!   through validating constructors into a
-//!   [`twalk::PreparedSampler`].
+//! * **Sampler tables** — packed alongside their graph: the CDF prefix
+//!   sums, whose rows are the graph's CSR offsets, restored through a
+//!   validating constructor into a [`twalk::PreparedSampler`].
 //! * **Model snapshots** — embedding table + link-FNN weights +
 //!   publish version, so `serve` warm-restarts in milliseconds
 //!   ([`open_snapshot`]).

@@ -20,14 +20,19 @@ use std::io::Cursor;
 use store::format::{checksum64, Header, SectionEntry, HEADER_LEN, TOC_ENTRY_LEN};
 use store::{pack_graph, pack_snapshot, ArtifactKind, Container, StoreError, StoreWriter};
 
-/// A small but fully featured graph image: graph + a softmax sampler
-/// with three churned vertices, so it carries the method map (`smth`)
-/// beside the CDF sections. Under miri the graph shrinks: the interpreter pays ~100× per
-/// instruction and the corpus sweeps whole files repeatedly.
-fn graph_image() -> Vec<u8> {
+/// The graph behind [`graph_image`]. Under miri it shrinks: the
+/// interpreter pays ~100× per instruction and the corpus sweeps whole
+/// files repeatedly.
+fn small_graph() -> tgraph::TemporalGraph {
     let (n, m) = if cfg!(miri) { (14, 2) } else { (40, 3) };
-    let g = tgraph::gen::preferential_attachment(n, m, 5).undirected(true).build();
-    let prepared = twalk::TransitionSampler::Softmax.prepare_churned(&g, &[0, 5, 9]);
+    tgraph::gen::preferential_attachment(n, m, 5).undirected(true).build()
+}
+
+/// A small but fully featured graph image: graph + a softmax sampler,
+/// so it carries the sampler meta (`smet`) and the CDF weights (`scdf`).
+fn graph_image() -> Vec<u8> {
+    let g = small_graph();
+    let prepared = twalk::TransitionSampler::Softmax.prepare(&g);
     let mut cur = Cursor::new(Vec::new());
     pack_graph(&mut cur, &g, Some(&prepared)).expect("pack");
     cur.into_inner()
@@ -73,9 +78,8 @@ fn assert_rejected(bytes: &[u8], what: &str) -> StoreError {
 #[test]
 fn valid_images_open() {
     let graph = Container::from_bytes(&graph_image()).expect("graph image");
-    for name in ["smet", "smth", "scst", "scdf"] {
-        assert!(graph.has_section(name), "graph image lacks {name}");
-    }
+    let names: Vec<&str> = graph.sections().iter().map(|s| s.name_str()).collect();
+    assert_eq!(names, ["meta", "goff", "gdst", "gtim", "smet", "scdf"]);
     assert!(Container::from_bytes(&snapshot_image()).is_ok());
     assert!(store::open_graph_bytes(&graph_image()).is_ok());
     assert!(store::open_snapshot_bytes(&snapshot_image()).is_ok());
@@ -191,7 +195,14 @@ fn forged_magic_version_endianness_and_kind_are_rejected() {
     assert!(matches!(err, StoreError::UnsupportedVersion { found: 1, .. }), "{err:?}");
     let message = err.to_string();
     assert!(!message.contains("newer"), "{message}");
-    assert!(message.contains("version 1") && message.contains("version 2"), "{message}");
+    assert!(message.contains("version 1") && message.contains("version 3"), "{message}");
+
+    // A version-2 file (method map and CDF row starts beside `scdf`) is
+    // refused before any of its sections is read.
+    let mut bad = image.clone();
+    forge_header(&mut bad, |h| h[16..20].copy_from_slice(&2u32.to_le_bytes()));
+    let err = assert_rejected(&bad, "version 2");
+    assert!(matches!(err, StoreError::UnsupportedVersion { found: 2, .. }), "{err:?}");
 
     let mut bad = image.clone();
     forge_header(&mut bad, |h| h[20..24].copy_from_slice(&7u32.to_le_bytes()));
@@ -300,6 +311,50 @@ fn semantically_inconsistent_graph_sections_are_rejected() {
 }
 
 #[test]
+fn short_cdf_section_is_rejected() {
+    // Well-checksummed sampler sections that disagree with the graph: a
+    // CDF one weight short would leave the last vertex's row running
+    // past the table, so opening must refuse it before any walk runs.
+    let g = small_graph();
+    let prepared = twalk::TransitionSampler::Softmax.prepare(&g);
+    let Some(twalk::SamplerTables::Weighted { span, cdf, .. }) = prepared.export_tables() else {
+        panic!("softmax exports weighted tables");
+    };
+    let (offsets, dsts, times) = g.csr_parts();
+    let mut cur = Cursor::new(Vec::new());
+    {
+        let mut w = StoreWriter::new(&mut cur, ArtifactKind::Graph).expect("writer");
+        w.begin_section("meta", 8).expect("b");
+        w.write_u64s(&[g.num_nodes() as u64, g.num_edges() as u64]).expect("w");
+        w.end_section().expect("e");
+        w.begin_section("goff", 8).expect("b");
+        w.write_usizes(offsets).expect("w");
+        w.end_section().expect("e");
+        w.begin_section("gdst", 4).expect("b");
+        w.write_u32s(dsts).expect("w");
+        w.end_section().expect("e");
+        w.begin_section("gtim", 8).expect("b");
+        w.write_f64s(times).expect("w");
+        w.end_section().expect("e");
+        w.begin_section("smet", 8).expect("b");
+        w.write_u64s(&[2, span.to_bits()]).expect("w");
+        w.end_section().expect("e");
+        w.begin_section("scdf", 8).expect("b");
+        w.write_f64s(&cdf[..cdf.len() - 1]).expect("w");
+        w.end_section().expect("e");
+        w.finish().expect("finish");
+    }
+    let err = store::open_graph_bytes(&cur.into_inner()).unwrap_err();
+    match err {
+        StoreError::Invalid { what, message } => {
+            assert_eq!(what, "sampler sections");
+            assert!(message.contains("weights"), "{message}");
+        }
+        other => panic!("short scdf: unexpected {other:?}"),
+    }
+}
+
+#[test]
 fn pseudo_random_garbage_never_panics() {
     // Deterministic LCG; no entropy needed, the point is panic-freedom
     // over a broad spread of shapes and lengths.
@@ -331,7 +386,7 @@ fn header_constants_are_pinned() {
     let image = graph_image();
     assert_eq!(&image[..8], b"RWSTORE\0");
     assert_eq!(u64::from_le_bytes(image[8..16].try_into().expect("8")), 0x0123_4567_89AB_CDEF);
-    assert_eq!(u32::from_le_bytes(image[16..20].try_into().expect("4")), 2);
+    assert_eq!(u32::from_le_bytes(image[16..20].try_into().expect("4")), 3);
     let h = Header::decode(&image).expect("header");
     assert_eq!(h.kind, ArtifactKind::Graph);
     // TOC entries decode with the pinned 40-byte stride.

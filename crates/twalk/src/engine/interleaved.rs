@@ -43,7 +43,7 @@ use par::{parallel_workers, ParConfig};
 use tgraph::{NodeId, TemporalGraph, Time};
 
 use super::{suffix_start, Output, StartSet};
-use crate::sampler::{PreparedSampler, SamplingMethod};
+use crate::sampler::PreparedSampler;
 use crate::{WalkConfig, WalkRng};
 
 /// Slot holds no walk (block drained past it).
@@ -181,15 +181,12 @@ pub(super) fn run(
 
 /// Handles for the pipeline metrics, resolved once per bulk run (all
 /// no-ops when the global recorder is off). Occupancy is recorded once
-/// per *sweep*; sweep, block, and per-method draw counts accumulate in
-/// worker locals and flush once per *block*, so the per-hop path records
-/// nothing at all.
+/// per *sweep*; sweep and block counts accumulate in worker locals and
+/// flush once per *block*, so the per-hop path records nothing at all.
 struct RingStats {
     occupancy: HistogramHandle,
     sweeps: CounterHandle,
     blocks: CounterHandle,
-    /// Draws by resolved sampling method: `[cdf, rejection]`.
-    draws: [CounterHandle; 2],
 }
 
 impl RingStats {
@@ -199,10 +196,6 @@ impl RingStats {
             occupancy: rec.histogram("twalk_ring_occupancy"),
             sweeps: rec.counter("twalk_ring_sweeps_total"),
             blocks: rec.counter("twalk_ring_blocks_total"),
-            draws: [
-                rec.counter("twalk_draws_total{method=\"cdf\"}"),
-                rec.counter("twalk_draws_total{method=\"rejection\"}"),
-            ],
         }
     }
 }
@@ -245,7 +238,6 @@ fn run_block(
 
         let record = stats.occupancy.is_enabled();
         let mut sweeps_local = 0u64;
-        let mut draws_local = [0u64; 2];
         // Pipeline depth, clamped so the lookahead index stays in-ring
         // for degenerate ring sizes (ring = 1 collapses to
         // fetch-then-advance on the same visit).
@@ -290,11 +282,6 @@ fn run_block(
                 let lo = suffix_start(times, cfg, now, *r.first_hop.add(slot));
                 if lo < dsts.len() {
                     let pick = sampler.sample(v, times, lo, now, &mut *r.rng.add(slot));
-                    if record {
-                        if let Some(m) = sampler.method_of(v) {
-                            draws_local[usize::from(m == SamplingMethod::Rejection)] += 1;
-                        }
-                    }
                     let next = dsts[pick];
                     *r.curr.add(slot) = next;
                     *r.curr_time.add(slot) = times[pick];
@@ -319,9 +306,6 @@ fn run_block(
         }
         stats.sweeps.add(sweeps_local);
         stats.blocks.inc();
-        for (h, n) in stats.draws.iter().zip(draws_local) {
-            h.add(n);
-        }
     }
 }
 
@@ -409,39 +393,29 @@ mod tests {
         })
     }
 
-    /// The three sampler setups: the all-CDF `prepare`, every third
-    /// vertex churned to rejection, and every vertex churned.
-    fn setups(g: &TemporalGraph, bias: TransitionSampler) -> [PreparedSampler; 3] {
-        let n = g.num_nodes() as NodeId;
-        let third: Vec<NodeId> = (0..n).step_by(3).collect();
-        let all: Vec<NodeId> = (0..n).collect();
-        [bias.prepare(g), bias.prepare_churned(g, &third), bias.prepare_churned(g, &all)]
-    }
-
     /// Asserts that the ring matches the serial oracle on a full run and
-    /// on a refresh from repeated sources, for every bias and sampler
-    /// setup, at threads {1, 4} × chunk sizes {1, 13, 64} × ring sizes
-    /// {1, 3, 8, 4096}. Ring 1 serializes the pipeline; ring 4096 is
-    /// larger than any block, so most slots stay empty.
+    /// on a refresh from repeated sources, for every bias, at threads
+    /// {1, 4} × chunk sizes {1, 13, 64} × ring sizes {1, 3, 8, 4096}.
+    /// Ring 1 serializes the pipeline; ring 4096 is larger than any
+    /// block, so most slots stay empty.
     fn assert_ring_matches_oracle(name: &str, g: &TemporalGraph, cfg: WalkConfig) {
         let n = g.num_nodes() as NodeId;
         let sources = [0, 5 % n, 0, n - 1, 17 % n, 5 % n, n / 2];
         for bias in BIASES {
             let cfg = cfg.sampler(bias);
-            for sampler in setups(g, bias) {
-                for starts in [StartSet::AllVertices(g.num_nodes()), StartSet::Sources(&sources)] {
-                    let want = serial(g, &cfg, &sampler, starts);
-                    for (threads, chunk, ring) in (0..24).map(|i| {
-                        ([1, 4][i / 12], [1, 13, 64][i / 4 % 3], [1, 3, RING, 4096][i % 4])
-                    }) {
-                        let par = ParConfig::with_threads(threads).chunk_size(chunk);
-                        assert_eq!(
-                            ring_run(g, &cfg, &sampler, &par, starts, ring),
-                            want,
-                            "{name}: {bias} {starts:?} diverged at {threads} threads, \
-                             chunk {chunk}, ring {ring}"
-                        );
-                    }
+            let sampler = bias.prepare(g);
+            for starts in [StartSet::AllVertices(g.num_nodes()), StartSet::Sources(&sources)] {
+                let want = serial(g, &cfg, &sampler, starts);
+                for (threads, chunk, ring) in (0..24)
+                    .map(|i| ([1, 4][i / 12], [1, 13, 64][i / 4 % 3], [1, 3, RING, 4096][i % 4]))
+                {
+                    let par = ParConfig::with_threads(threads).chunk_size(chunk);
+                    assert_eq!(
+                        ring_run(g, &cfg, &sampler, &par, starts, ring),
+                        want,
+                        "{name}: {bias} {starts:?} diverged at {threads} threads, \
+                         chunk {chunk}, ring {ring}"
+                    );
                 }
             }
         }
@@ -524,14 +498,14 @@ mod tests {
             let cfg = WalkConfig::new(1 + rng.next_bounded(3), 1 + rng.next_bounded(7))
                 .sampler(bias)
                 .seed(rng.next_u64());
-            let sampler = &setups(&g, bias)[rng.next_bounded(3)];
+            let sampler = bias.prepare(&g);
             let starts = StartSet::AllVertices(g.num_nodes());
             let (threads, chunk, ring) =
                 (1 + rng.next_bounded(4), 1 + rng.next_bounded(33), 1 + rng.next_bounded(9));
             let par = ParConfig::with_threads(threads).chunk_size(chunk);
             assert_eq!(
-                ring_run(&g, &cfg, sampler, &par, starts, ring),
-                serial(&g, &cfg, sampler, starts),
+                ring_run(&g, &cfg, &sampler, &par, starts, ring),
+                serial(&g, &cfg, &sampler, starts),
                 "case {case}: {} nodes / {} edges, {bias}, ring {ring}",
                 g.num_nodes(),
                 g.num_edges()

@@ -23,11 +23,9 @@
 //! Sampling runs through a prepare-then-sample API:
 //! [`prepare`](TransitionSampler::prepare) turns the configuration enum
 //! into a [`PreparedSampler`]. The softmax variants sample every vertex
-//! through `O(log d)` inverse-CDF tables, except the vertices a refresh
-//! names as churned under ingest
-//! ([`prepare_churned`](TransitionSampler::prepare_churned)), which
-//! sample by bounded rejection from the same analytic distribution; see
-//! the [`sampler`] module. The prepared sampler is built once per graph,
+//! through `O(log d)` inverse-CDF tables, offline and at an incremental
+//! refresh alike; see the [`sampler`] module. The prepared sampler is
+//! built once per graph,
 //! shared read-only across worker threads, and reusable across bulk and
 //! incremental-refresh runs. Custom bias functions plug in via the
 //! [`TransitionBias`] trait.
@@ -73,7 +71,6 @@ pub use engine::{
 };
 pub use rng::WalkRng;
 pub use sampler::{
-    PreparedSampler, SamplerBuildStats, SamplerTables, SamplingMethod, TransitionBias,
-    WeightedTables,
+    PreparedSampler, SamplerBuildStats, SamplerTables, TransitionBias, WeightedTables,
 };
 pub use walkset::{WalkIter, WalkSet, WalkSetBuilder};

@@ -6,21 +6,14 @@
 //! timestamp (three passes over the temporally-valid suffix). But the
 //! weights depend only on the edge timestamps and the graph-wide span `r`
 //! — not on the walk state — so for a fixed graph they can be
-//! precomputed *once*. Every vertex draws through one of two
-//! [`SamplingMethod`]s, both from the same analytic distribution:
-//!
-//! * [`SamplingMethod::Cdf`] — per-segment cumulative-weight prefix sums;
-//!   sampling any valid suffix `[lo..deg)` costs one subtraction (to
-//!   rebase the CDF), one uniform draw, and one `partition_point` binary
-//!   search: `O(log d)` over 8 bytes per edge. Every static vertex uses
-//!   it (DESIGN.md §13.3 records why no `O(1)` alias table beats it).
-//! * [`SamplingMethod::Rejection`] — bounded rejection sampling for the
-//!   vertices a refresh names as churned under `DynamicGraph` ingest
-//!   ([`TransitionSampler::prepare_churned`]): no tables at all, so
-//!   nothing to rebuild when the segment changes. Segment-anchored
-//!   weights lie in `[e^-1, 1]` (see below), so a constant envelope of 1
-//!   accepts with probability ≥ e⁻¹ per attempt; after a bounded number
-//!   of rejections an exact direct evaluation finishes the draw.
+//! precomputed *once*. Every vertex of the softmax variants draws through
+//! one inverse CDF: per-segment cumulative-weight prefix sums, one row per
+//! vertex, aligned with the graph's CSR edge order. Sampling any valid
+//! suffix `[lo..deg)` costs one subtraction (to rebase the CDF), one
+//! uniform draw, and one `partition_point` binary search: `O(log d)` over
+//! 8 bytes per edge. DESIGN.md §13.3 records why neither an `O(1)` alias
+//! table nor table-free rejection for the vertices a refresh re-walks
+//! beats it.
 //!
 //! Numerical stability comes from anchoring each vertex's weights at its
 //! own segment extreme: softmax weights are `exp((t - t_seg_max) / r)`,
@@ -30,8 +23,7 @@
 //! variant's dependence on the walk's current time cancels under
 //! normalization (`exp(-(t - now)/r) = exp(-t/r) · exp(now/r)`, and the
 //! second factor is constant across the candidate set), which is what
-//! makes precomputation valid at all. The same bound is what gives the
-//! rejection path its ≥ e⁻¹ acceptance rate.
+//! makes precomputation valid at all.
 //!
 //! The prepared sampler is built once per graph, shared read-only across
 //! worker threads, and reusable across [`crate::generate_walks_prepared`]
@@ -61,68 +53,22 @@ pub trait TransitionBias: Send + Sync + std::fmt::Debug {
     fn sample(&self, v: NodeId, times: &[Time], lo: usize, now: Time, rng: &mut WalkRng) -> usize;
 }
 
-/// The sampling method a vertex of a softmax-weighted sampler was
-/// assigned at preparation (paper §IV-A1's transition probabilities;
-/// DESIGN.md §13). Uniform and linear-time biases sample in closed form
-/// and have no method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum SamplingMethod {
-    /// Inverse-CDF over per-segment prefix sums — `O(log d)` per draw,
-    /// 8 bytes per edge. Every vertex not named as churned.
-    Cdf = 0,
-    /// Bounded rejection against a constant envelope — zero table bytes,
-    /// expected ≤ e ≈ 2.72 attempts per draw. The vertices a refresh
-    /// names as churned under streaming ingest.
-    Rejection = 1,
-}
-
-impl SamplingMethod {
-    /// The on-disk byte for this method (the `repr(u8)` discriminant).
-    pub fn as_u8(self) -> u8 {
-        self as u8
-    }
-
-    /// Inverse of [`Self::as_u8`], rejecting unknown bytes — the
-    /// storage layer validates every method byte through this instead of
-    /// transmuting, so a corrupt method map can never become an invalid
-    /// enum value.
-    pub fn from_u8(b: u8) -> Result<Self, String> {
-        match b {
-            0 => Ok(SamplingMethod::Cdf),
-            1 => Ok(SamplingMethod::Rejection),
-            other => Err(format!("invalid sampling-method byte {other}")),
-        }
-    }
-}
-
-/// Envelope attempts before a rejection draw falls back to exact direct
-/// evaluation. Acceptance is ≥ e⁻¹ per attempt, so the fallback runs
-/// with probability ≤ (1 − e⁻¹)¹⁶ ≈ 6·10⁻⁴.
-const REJECTION_ATTEMPTS: usize = 16;
-
 /// Cost and shape of building a [`PreparedSampler`]: wall-clock build
-/// time, resident table size, and the per-method vertex split (all zeros
-/// for table-free samplers).
+/// time and resident table size (zero for table-free samplers).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SamplerBuildStats {
     /// Wall-clock time spent building the sampler.
     pub build_time: Duration,
-    /// Bytes held by the precomputed tables (CDF + method map).
+    /// Bytes held by the precomputed tables (CDF rows and weights).
     pub table_bytes: usize,
-    /// Vertices (with ≥ 1 out-edge) sampling through the CDF tables.
-    pub cdf_vertices: usize,
-    /// Vertices (with ≥ 1 out-edge) sampling by bounded rejection.
-    pub rejection_vertices: usize,
 }
 
 /// A transition sampler bound to one graph, ready for `O(log d)`
 /// sampling.
 ///
 /// Built by [`TransitionSampler::prepare`] (or
-/// [`TransitionSampler::prepare_churned`], or [`PreparedSampler::custom`])
-/// and shared read-only across walk worker threads. The softmax variants
-/// carry per-vertex CDF tables and method dispatch; uniform and
+/// [`PreparedSampler::custom`]) and shared read-only across walk worker
+/// threads. The softmax variants carry per-vertex CDF tables; uniform and
 /// linear-time sampling need no tables and keep the exact RNG draw
 /// pattern of direct evaluation.
 ///
@@ -155,8 +101,8 @@ enum PreparedKind {
     Uniform,
     /// CTDNE linear rank bias — closed-form CDF inversion, no tables.
     LinearTime,
-    /// Softmax-weighted bias through per-vertex method dispatch.
-    Weighted(VertexSampler),
+    /// Softmax-weighted bias through the CDF tables.
+    Weighted(CdfSampler),
     /// User-supplied bias function.
     Custom(Arc<dyn TransitionBias>),
 }
@@ -165,152 +111,72 @@ impl TransitionSampler {
     /// Builds the prepared form of this sampler for `g`: CDF tables for
     /// every vertex of the softmax variants (`O(|E|)` time), nothing for
     /// [`TransitionSampler::Uniform`] and [`TransitionSampler::LinearTime`].
+    /// When `obs` is enabled, exports the table bytes as a gauge.
     pub fn prepare(self, g: &TemporalGraph) -> PreparedSampler {
-        self.prepare_churned(g, &[])
-    }
-
-    /// [`Self::prepare`], except that the softmax variants sample the
-    /// `churned` vertices (e.g. `DynamicGraph::take_dirty`) by bounded
-    /// rejection, so the next ingest invalidates no tables for them.
-    /// Out-of-range ids are ignored. When `obs` is enabled, exports the
-    /// per-method vertex split and table bytes as gauges.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use twalk::{SamplingMethod, TransitionSampler};
-    ///
-    /// let g = tgraph::gen::preferential_attachment(500, 4, 7).undirected(true).build();
-    /// let prepared = TransitionSampler::Softmax.prepare_churned(&g, &[3, 8]);
-    /// assert_eq!(prepared.method_of(3), Some(SamplingMethod::Rejection));
-    /// assert_eq!(prepared.method_of(4), Some(SamplingMethod::Cdf));
-    /// assert_eq!(prepared.stats().rejection_vertices, 2);
-    /// ```
-    pub fn prepare_churned(self, g: &TemporalGraph, churned: &[NodeId]) -> PreparedSampler {
         let t0 = Instant::now();
-        let (kind, counts) = match self {
-            TransitionSampler::Uniform => (PreparedKind::Uniform, MethodCounts::default()),
-            TransitionSampler::LinearTime => (PreparedKind::LinearTime, MethodCounts::default()),
-            TransitionSampler::Softmax => {
-                let (vs, c) = build_weighted(g, false, churned);
-                (PreparedKind::Weighted(vs), c)
-            }
-            TransitionSampler::SoftmaxRecency => {
-                let (vs, c) = build_weighted(g, true, churned);
-                (PreparedKind::Weighted(vs), c)
-            }
+        let kind = match self {
+            TransitionSampler::Uniform => PreparedKind::Uniform,
+            TransitionSampler::LinearTime => PreparedKind::LinearTime,
+            TransitionSampler::Softmax => PreparedKind::Weighted(CdfSampler::build(g, false)),
+            TransitionSampler::SoftmaxRecency => PreparedKind::Weighted(CdfSampler::build(g, true)),
         };
-        let stats = SamplerBuildStats {
-            build_time: t0.elapsed(),
-            table_bytes: table_footprint(&kind),
-            cdf_vertices: counts.cdf,
-            rejection_vertices: counts.rejection,
-        };
-        export_build_metrics(&stats);
+        let stats =
+            SamplerBuildStats { build_time: t0.elapsed(), table_bytes: table_footprint(&kind) };
+        let rec = obs::Recorder::global();
+        if rec.is_enabled() {
+            rec.gauge("twalk_sampler_table_bytes").set(stats.table_bytes as i64);
+        }
         PreparedSampler { kind, stats, num_nodes: g.num_nodes(), num_edges: g.num_edges() }
     }
 }
 
-/// Assigns churned vertices to rejection and builds the CDF tables for
-/// the rest.
-fn build_weighted(
-    g: &TemporalGraph,
-    recency: bool,
-    churned: &[NodeId],
-) -> (VertexSampler, MethodCounts) {
-    let span = g.time_span().max(f64::MIN_POSITIVE);
-    let n = g.num_nodes();
-    // No churned vertex keeps the compact layout: no method map.
-    let mut methods: Option<Vec<SamplingMethod>> = None;
-    for &v in churned.iter().filter(|&&v| (v as usize) < n) {
-        methods.get_or_insert_with(|| vec![SamplingMethod::Cdf; n])[v as usize] =
-            SamplingMethod::Rejection;
-    }
-    let need_cdf = methods.as_ref().is_none_or(|ms| ms.contains(&SamplingMethod::Cdf));
-    // Built as plain Vecs, wrapped into Storage-backed tables at the end
-    // (the mapped variant only enters through the import path).
-    let mut cdf_t: Option<(Vec<usize>, Vec<f64>)> = need_cdf.then(|| {
-        let mut starts = Vec::with_capacity(n + 1);
-        starts.push(0);
-        (starts, Vec::new())
-    });
-    let mut counts = MethodCounts::default();
-    for v in 0..n as NodeId {
-        let (_, times) = g.neighbor_slices(v);
-        let m = methods.as_ref().map_or(SamplingMethod::Cdf, |ms| ms[v as usize]);
-        if !times.is_empty() {
-            match m {
-                SamplingMethod::Cdf => {
-                    counts.cdf += 1;
-                    // Segments are time-sorted ascending, so the anchor is an end.
-                    let anchor = if recency { times[0] } else { times[times.len() - 1] };
-                    let (_, cdf) = cdf_t.as_mut().expect("cdf tables allocated");
-                    let mut acc = 0.0;
-                    for &t in times {
-                        let e = if recency { -(t - anchor) / span } else { (t - anchor) / span };
-                        acc += e.exp();
-                        cdf.push(acc);
-                    }
-                }
-                SamplingMethod::Rejection => counts.rejection += 1,
-            }
-        }
-        if let Some((starts, cdf)) = &mut cdf_t {
-            starts.push(cdf.len());
-        }
-    }
-    let cdf = cdf_t.map(|(starts, cdf)| CdfTables { starts: starts.into(), cdf: cdf.into() });
-    (VertexSampler { recency, span, methods, cdf }, counts)
-}
-
-/// The method-dispatched sampling layer for the softmax-weighted biases:
-/// per-vertex method assignment plus the CDF tables. [`PreparedSampler`]
-/// is a facade over this for the weighted kinds.
+/// The softmax-weighted sampling layer: per-segment cumulative weights
+/// aligned with CSR edge order, `rows[v]..rows[v + 1]` being vertex `v`'s
+/// slice of `cdf` (the rows equal the graph's CSR offsets). Backed by
+/// [`Storage`] so a mapped store file can lend the arrays zero-copy.
+/// [`PreparedSampler`] is a facade over this for the weighted kinds.
 #[derive(Debug)]
-struct VertexSampler {
+struct CdfSampler {
     recency: bool,
     span: f64,
-    /// `None` means every vertex uses the CDF tables — the compact
-    /// layout with no per-vertex method map.
-    methods: Option<Vec<SamplingMethod>>,
-    /// `None` when every vertex samples by rejection.
-    cdf: Option<CdfTables>,
-}
-
-/// Per-segment cumulative weights aligned with CSR edge order;
-/// `starts[v]..starts[v + 1]` is vertex `v`'s slice of `cdf`. Backed by
-/// [`Storage`] so a mapped store file can lend the arrays zero-copy.
-#[derive(Debug)]
-struct CdfTables {
-    starts: Storage<usize>,
+    rows: Storage<usize>,
     cdf: Storage<f64>,
 }
 
-impl VertexSampler {
-    /// The sampling method vertex `v` was assigned at build time.
-    #[inline]
-    fn method_of(&self, v: NodeId) -> SamplingMethod {
-        self.methods.as_ref().map_or(SamplingMethod::Cdf, |ms| ms[v as usize])
+impl CdfSampler {
+    /// Builds one prefix-sum row per vertex of `g`.
+    fn build(g: &TemporalGraph, recency: bool) -> Self {
+        let span = g.time_span().max(f64::MIN_POSITIVE);
+        let (offsets, _, times) = g.csr_parts();
+        // Built as plain Vecs, wrapped into Storage-backed tables at the
+        // end (the mapped variant only enters through the import path).
+        // One weight per edge, reserved up front: growing the table by
+        // doubling raised a large build's peak RSS.
+        let mut cdf = Vec::with_capacity(times.len());
+        for row in offsets.windows(2) {
+            let seg = &times[row[0]..row[1]];
+            // Segments are time-sorted ascending, so the anchor is an end.
+            let Some(&anchor) = (if recency { seg.first() } else { seg.last() }) else {
+                continue;
+            };
+            let mut acc = 0.0;
+            for &t in seg {
+                let e = if recency { -(t - anchor) / span } else { (t - anchor) / span };
+                acc += e.exp();
+                cdf.push(acc);
+            }
+        }
+        Self { recency, span, rows: offsets.to_vec().into(), cdf: cdf.into() }
     }
 
-    /// Samples an absolute segment index in `lo..times.len()`; the caller
-    /// has already handled the singleton suffix.
+    /// Inverse-CDF draw of an absolute segment index in `lo..times.len()`:
+    /// rebase the cumulative weights onto the valid suffix (one
+    /// subtraction), one uniform draw, one binary search.
+    /// `partition_point` mirrors direct evaluation's strict `target < acc`
+    /// acceptance. The caller has already handled the singleton suffix.
     #[inline]
     fn sample(&self, v: NodeId, times: &[Time], lo: usize, rng: &mut WalkRng) -> usize {
-        match self.method_of(v) {
-            SamplingMethod::Cdf => self.sample_cdf(v, times, lo, rng),
-            SamplingMethod::Rejection => self.sample_rejection(times, lo, rng),
-        }
-    }
-
-    /// Inverse-CDF draw: rebase the cumulative weights onto the valid
-    /// suffix (one subtraction), one uniform draw, one binary search.
-    /// `partition_point` mirrors direct evaluation's strict
-    /// `target < acc` acceptance.
-    #[inline]
-    fn sample_cdf(&self, v: NodeId, times: &[Time], lo: usize, rng: &mut WalkRng) -> usize {
-        let c = self.cdf.as_ref().expect("cdf tables allocated");
-        let seg = &c.cdf[c.starts[v as usize]..c.starts[v as usize + 1]];
+        let seg = &self.cdf[self.rows[v as usize]..self.rows[v as usize + 1]];
         debug_assert_eq!(seg.len(), times.len());
         let base = if lo == 0 { 0.0 } else { seg[lo - 1] };
         let total = seg[times.len() - 1] - base;
@@ -321,55 +187,24 @@ impl VertexSampler {
         pick.min(times.len() - 1)
     }
 
-    /// Bounded rejection against a constant envelope of 1: propose
-    /// uniformly over the suffix, accept with the segment-anchored weight
-    /// (∈ [e⁻¹, 1]). Exact direct evaluation finishes the rare draw that
-    /// exhausts its attempts, keeping the mixture exact.
-    #[inline]
-    fn sample_rejection(&self, times: &[Time], lo: usize, rng: &mut WalkRng) -> usize {
-        let len = times.len() - lo;
-        let anchor = if self.recency { times[0] } else { times[times.len() - 1] };
-        for _ in 0..REJECTION_ATTEMPTS {
-            let j = lo + rng.next_bounded(len);
-            let e = if self.recency {
-                -(times[j] - anchor) / self.span
-            } else {
-                (times[j] - anchor) / self.span
-            };
-            if rng.next_f64() < e.exp() {
-                return j;
-            }
-        }
-        direct_weighted_suffix(times, lo, self.span, self.recency, rng)
-    }
-
     /// Warms the *index* loads [`Self::prefetch`] depends on: the
-    /// `starts[v]`/`starts[v + 1]` bounds of `v`'s table slice and the
-    /// per-vertex method byte. A table prefetch cannot be issued until
-    /// those resolve, so the engines call this one pipeline stage
-    /// earlier — the sampler-side twin of the graph's CSR-offsets
-    /// prefetch.
+    /// `rows[v]`/`rows[v + 1]` bounds of `v`'s table slice. A table
+    /// prefetch cannot be issued until those resolve, so the engines call
+    /// this one pipeline stage earlier — the sampler-side twin of the
+    /// graph's CSR-offsets prefetch.
     #[inline]
     fn prefetch_offsets(&self, v: NodeId) {
-        if let Some(m) = &self.methods {
-            tgraph::prefetch::prefetch_read(m.as_ptr().wrapping_add(v as usize));
-        }
-        if let Some(c) = &self.cdf {
-            let p = c.starts.as_ptr();
-            tgraph::prefetch::prefetch_read(p.wrapping_add(v as usize));
-            tgraph::prefetch::prefetch_read(p.wrapping_add(v as usize + 1));
-        }
+        let p = self.rows.as_ptr();
+        tgraph::prefetch::prefetch_read(p.wrapping_add(v as usize));
+        tgraph::prefetch::prefetch_read(p.wrapping_add(v as usize + 1));
     }
 
     /// Hints the CPU to pull `v`'s table slice toward L1: the first,
     /// middle, and last cache lines of the prefix sums (the first
-    /// positions the binary search inspects). Rejection vertices read
-    /// only the times slice, which the graph-side prefetch already covers.
+    /// positions the binary search inspects).
     #[inline]
     fn prefetch(&self, v: NodeId) {
-        if let (SamplingMethod::Cdf, Some(c)) = (self.method_of(v), &self.cdf) {
-            probe_lines(&c.cdf, c.starts[v as usize], c.starts[v as usize + 1]);
-        }
+        probe_lines(&self.cdf, self.rows[v as usize], self.rows[v as usize + 1]);
     }
 }
 
@@ -392,67 +227,14 @@ fn probe_lines(data: &[f64], a: usize, b: usize) {
     }
 }
 
-/// Exact direct evaluation of the segment-anchored weight distribution
-/// over `times[lo..]` — the fallback that bounds the rejection retry
-/// loop, and distribution-identical to the CDF tables (same anchor, same
-/// weights, one uniform draw).
-fn direct_weighted_suffix(
-    times: &[Time],
-    lo: usize,
-    span: f64,
-    recency: bool,
-    rng: &mut WalkRng,
-) -> usize {
-    let anchor = if recency { times[0] } else { times[times.len() - 1] };
-    let weight = |t: Time| -> f64 {
-        let e = if recency { -(t - anchor) / span } else { (t - anchor) / span };
-        e.exp()
-    };
-    let mut total = 0.0;
-    for &t in &times[lo..] {
-        total += weight(t);
-    }
-    let target = rng.next_f64() * total;
-    let mut acc = 0.0;
-    for (i, &t) in times[lo..].iter().enumerate() {
-        acc += weight(t);
-        if target < acc {
-            return lo + i;
-        }
-    }
-    times.len() - 1
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-struct MethodCounts {
-    cdf: usize,
-    rejection: usize,
-}
-
 /// Resident bytes of a prepared kind's tables.
 fn table_footprint(kind: &PreparedKind) -> usize {
     match kind {
-        PreparedKind::Weighted(vs) => {
-            let usz = std::mem::size_of::<usize>();
-            let cdf = vs.cdf.as_ref().map_or(0, |c| c.starts.len() * usz + c.cdf.len() * 8);
-            let map =
-                vs.methods.as_ref().map_or(0, |m| m.len() * std::mem::size_of::<SamplingMethod>());
-            cdf + map
+        PreparedKind::Weighted(cs) => {
+            cs.rows.len() * std::mem::size_of::<usize>() + cs.cdf.len() * 8
         }
         _ => 0,
     }
-}
-
-/// Exports the build's method split to `/metrics` (no-op when obs is
-/// disabled).
-fn export_build_metrics(stats: &SamplerBuildStats) {
-    let rec = obs::Recorder::global();
-    if !rec.is_enabled() {
-        return;
-    }
-    rec.gauge("twalk_sampler_vertices{method=\"cdf\"}").set(stats.cdf_vertices as i64);
-    rec.gauge("twalk_sampler_vertices{method=\"rejection\"}").set(stats.rejection_vertices as i64);
-    rec.gauge("twalk_sampler_table_bytes").set(stats.table_bytes as i64);
 }
 
 impl PreparedSampler {
@@ -477,39 +259,28 @@ impl PreparedSampler {
         self.num_nodes == g.num_nodes() && self.num_edges == g.num_edges()
     }
 
-    /// The per-vertex sampling method for the weighted kinds, `None` for
-    /// closed-form and custom samplers (which have no method dispatch).
-    #[inline]
-    pub fn method_of(&self, v: NodeId) -> Option<SamplingMethod> {
-        match &self.kind {
-            PreparedKind::Weighted(vs) => Some(vs.method_of(v)),
-            _ => None,
-        }
-    }
-
-    /// Warms the table-index entries (`starts` bounds, method byte) that
-    /// [`Self::prefetch`] must read before it can compute table-line
-    /// addresses — the sampler half of the ring's CSR-offsets stage.
-    /// Prefetches never fault, so no bounds check. A no-op for
-    /// table-free samplers.
+    /// Warms the table-row bounds that [`Self::prefetch`] must read
+    /// before it can compute table-line addresses — the sampler half of
+    /// the ring's CSR-offsets stage. Prefetches never fault, so no bounds
+    /// check. A no-op for table-free samplers.
     #[inline]
     pub fn prefetch_offsets(&self, v: NodeId) {
-        if let PreparedKind::Weighted(vs) = &self.kind {
-            vs.prefetch_offsets(v);
+        if let PreparedKind::Weighted(cs) = &self.kind {
+            cs.prefetch_offsets(v);
         }
     }
 
     /// Hints the CPU to pull `v`'s table slice toward L1 — the sampler
-    /// half of the interleaved ring's segment prefetch. A
-    /// no-op for table-free samplers and methods.
+    /// half of the interleaved ring's segment prefetch. A no-op for
+    /// table-free samplers.
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range for the prepared graph.
     #[inline]
     pub fn prefetch(&self, v: NodeId) {
-        if let PreparedKind::Weighted(vs) = &self.kind {
-            vs.prefetch(v);
+        if let PreparedKind::Weighted(cs) = &self.kind {
+            cs.prefetch(v);
         }
     }
 
@@ -537,13 +308,13 @@ impl PreparedSampler {
         match &self.kind {
             PreparedKind::Uniform => lo + rng.next_bounded(len),
             PreparedKind::LinearTime => lo + direct_linear(len, rng),
-            PreparedKind::Weighted(vs) => {
+            PreparedKind::Weighted(cs) => {
                 // A forced move must not consume RNG state, or prepared
                 // and direct walks would diverge on every degree-1 chain.
                 if len == 1 {
                     return lo;
                 }
-                vs.sample(v, times, lo, rng)
+                cs.sample(v, times, lo, rng)
             }
             PreparedKind::Custom(bias) => {
                 let pick = bias.sample(v, times, lo, now, rng);
@@ -568,16 +339,15 @@ pub enum SamplerTables<'a> {
     Uniform,
     /// Closed-form CTDNE linear-time sampling: likewise table-free.
     LinearTime,
-    /// Softmax-weighted sampling with per-vertex method dispatch.
+    /// Softmax-weighted sampling through the CDF tables.
     Weighted {
         /// Recency variant (`true` for [`TransitionSampler::SoftmaxRecency`]).
         recency: bool,
         /// The graph-wide span `r` the weights were anchored with.
         span: f64,
-        /// Per-vertex method map; `None` is the compact all-CDF layout.
-        methods: Option<&'a [SamplingMethod]>,
-        /// CDF `(starts, cumulative_weights)`, if any vertex uses CDF.
-        cdf: Option<(&'a [usize], &'a [f64])>,
+        /// Cumulative weights in CSR edge order. Their row bounds are the
+        /// graph's CSR offsets, so they are not exported.
+        cdf: &'a [f64],
     },
 }
 
@@ -591,28 +361,10 @@ pub struct WeightedTables {
     pub recency: bool,
     /// The graph-wide span `r` the weights were anchored with.
     pub span: f64,
-    /// Per-vertex method map; `None` is the compact all-CDF layout.
-    pub methods: Option<Vec<SamplingMethod>>,
-    /// CDF `(starts, cumulative_weights)`.
-    pub cdf: Option<(Storage<usize>, Storage<f64>)>,
-}
-
-/// Checks the CDF `starts` array against its payload: `n + 1` entries,
-/// starting at 0, nondecreasing, ending exactly at `payload_len`.
-fn check_starts(starts: &[usize], n: usize, payload_len: usize) -> Result<(), String> {
-    if starts.len() != n + 1 {
-        return Err(format!("cdf starts has {} entries, expected {}", starts.len(), n + 1));
-    }
-    if starts[0] != 0 {
-        return Err(format!("cdf starts[0] is {}, expected 0", starts[0]));
-    }
-    if let Some(v) = starts.windows(2).position(|w| w[0] > w[1]) {
-        return Err(format!("cdf starts decrease at vertex {v}"));
-    }
-    if starts[n] != payload_len {
-        return Err(format!("cdf starts end at {}, expected {payload_len}", starts[n]));
-    }
-    Ok(())
+    /// Row bounds of `cdf`, `n + 1` entries: the graph's CSR offsets.
+    pub rows: Storage<usize>,
+    /// Cumulative weights in CSR edge order, one per edge.
+    pub cdf: Storage<f64>,
 }
 
 impl PreparedSampler {
@@ -634,12 +386,9 @@ impl PreparedSampler {
             PreparedKind::Uniform => Some(SamplerTables::Uniform),
             PreparedKind::LinearTime => Some(SamplerTables::LinearTime),
             PreparedKind::Custom(_) => None,
-            PreparedKind::Weighted(vs) => Some(SamplerTables::Weighted {
-                recency: vs.recency,
-                span: vs.span,
-                methods: vs.methods.as_deref(),
-                cdf: vs.cdf.as_ref().map(|c| (&c.starts[..], &c.cdf[..])),
-            }),
+            PreparedKind::Weighted(cs) => {
+                Some(SamplerTables::Weighted { recency: cs.recency, span: cs.span, cdf: &cs.cdf })
+            }
         }
     }
 
@@ -659,59 +408,38 @@ impl PreparedSampler {
         Ok(Self { kind, stats: SamplerBuildStats::default(), num_nodes, num_edges })
     }
 
-    /// Rebuilds a softmax-weighted prepared sampler from previously
-    /// exported tables — the import path for a store file, taking
-    /// [`Storage`] so mapped arrays are adopted zero-copy.
+    /// Rebuilds a softmax-weighted prepared sampler for `g` from
+    /// previously exported tables — the import path for a store file,
+    /// taking [`Storage`] so mapped arrays are adopted zero-copy.
     ///
     /// The structural invariants the sampling hot path relies on are
-    /// *checked*, not assumed: `starts` arrays must have `num_nodes + 1`
-    /// monotone entries ending at their payload length, the method map
-    /// (when present) must cover every vertex, CDF tables must exist if
-    /// any vertex samples through them, and the span must be positive and
-    /// finite. Any violation is an `Err` — never a panic later inside a
-    /// walk.
-    ///
-    /// `counts` carries the build-time per-method vertex split
-    /// (`cdf`, `rejection`) for [`SamplerBuildStats`]; byte accounting is
-    /// recomputed from the tables themselves.
-    pub fn from_weighted_tables(
-        t: WeightedTables,
-        num_nodes: usize,
-        num_edges: usize,
-        counts: (usize, usize),
-    ) -> Result<Self, String> {
+    /// *checked*, not assumed: the row bounds must equal `g`'s CSR
+    /// offsets, `cdf` must hold one weight per edge of `g`, and the span
+    /// must be positive and finite. Any violation is an `Err` — never a
+    /// panic later inside a walk.
+    pub fn from_weighted_tables(t: WeightedTables, g: &TemporalGraph) -> Result<Self, String> {
         if !(t.span.is_finite() && t.span > 0.0) {
             return Err(format!("span must be positive and finite, got {}", t.span));
         }
-        if let Some(ms) = &t.methods {
-            if ms.len() != num_nodes {
-                return Err(format!("method map has {} entries, expected {num_nodes}", ms.len()));
-            }
-            if t.cdf.is_none() {
-                if let Some(v) = ms.iter().position(|&m| m == SamplingMethod::Cdf) {
-                    return Err(format!("vertex {v} needs CDF tables but none are present"));
-                }
-            }
-        } else if t.cdf.is_none() {
-            return Err("compact layout (no method map) requires CDF tables".into());
+        if t.cdf.len() != g.num_edges() {
+            return Err(format!("cdf has {} weights, expected {}", t.cdf.len(), g.num_edges()));
         }
-        if let Some((starts, cdf)) = &t.cdf {
-            check_starts(starts, num_nodes, cdf.len())?;
+        let offsets = g.csr_parts().0;
+        if t.rows.len() != offsets.len() {
+            return Err(format!("cdf has {} row bounds, expected {}", t.rows.len(), offsets.len()));
         }
-        let vs = VertexSampler {
+        if let Some(v) = t.rows.iter().zip(offsets).position(|(a, b)| a != b) {
+            return Err(format!("cdf row bound {v} differs from the graph's CSR offset"));
+        }
+        let kind = PreparedKind::Weighted(CdfSampler {
             recency: t.recency,
             span: t.span,
-            methods: t.methods,
-            cdf: t.cdf.map(|(starts, cdf)| CdfTables { starts, cdf }),
-        };
-        let kind = PreparedKind::Weighted(vs);
-        let stats = SamplerBuildStats {
-            build_time: Duration::ZERO,
-            table_bytes: table_footprint(&kind),
-            cdf_vertices: counts.0,
-            rejection_vertices: counts.1,
-        };
-        Ok(Self { kind, stats, num_nodes, num_edges })
+            rows: t.rows,
+            cdf: t.cdf,
+        });
+        let stats =
+            SamplerBuildStats { build_time: Duration::ZERO, table_bytes: table_footprint(&kind) };
+        Ok(Self { kind, stats, num_nodes: g.num_nodes(), num_edges: g.num_edges() })
     }
 }
 
@@ -789,22 +517,6 @@ mod tests {
         b.build()
     }
 
-    /// Two hubs (vertex 0 with 48 edges, vertex 1 with 16) plus the leaf
-    /// tail.
-    fn two_hubs() -> TemporalGraph {
-        let mut b = GraphBuilder::new();
-        let mut leaf = 2u32;
-        for i in 0..48 {
-            b = b.add_edge(TemporalEdge::new(0, leaf, i as f64 / 48.0));
-            leaf += 1;
-        }
-        for i in 0..16 {
-            b = b.add_edge(TemporalEdge::new(1, leaf, i as f64 / 16.0));
-            leaf += 1;
-        }
-        b.build()
-    }
-
     #[test]
     fn uniform_and_linear_need_no_tables() {
         let g = star(&[0.1, 0.5, 0.9]);
@@ -812,7 +524,6 @@ mod tests {
             let p = s.prepare(&g);
             assert_eq!(p.stats().table_bytes, 0);
             assert!(p.matches_graph(&g));
-            assert_eq!(p.method_of(0), None);
         }
     }
 
@@ -875,17 +586,6 @@ mod tests {
             TransitionSampler::LinearTime,
         ] {
             let p = s.prepare(&g);
-            let (_, times) = g.neighbor_slices(0);
-            let mut rng = WalkRng::new(3);
-            let before = rng.clone().next_u64();
-            assert_eq!(p.sample(0, times, 0, 0.0, &mut rng), 0);
-            assert_eq!(rng.next_u64(), before);
-        }
-        // The forced-move rule is method-independent: rejection vertices
-        // must hold it too.
-        for s in [TransitionSampler::Softmax, TransitionSampler::SoftmaxRecency] {
-            let p = s.prepare_churned(&g, &[0]);
-            assert_eq!(p.method_of(0), Some(SamplingMethod::Rejection));
             let (_, times) = g.neighbor_slices(0);
             let mut rng = WalkRng::new(3);
             let before = rng.clone().next_u64();
@@ -963,89 +663,33 @@ mod tests {
     }
 
     #[test]
-    fn churning_nothing_keeps_the_compact_all_cdf_layout() {
-        let g = two_hubs();
-        let plain = TransitionSampler::Softmax.prepare(&g);
-        // No churned id is in range, so no vertex leaves the CDF and no
-        // method map is built.
-        let churned = TransitionSampler::Softmax.prepare_churned(&g, &[9_999]);
-        for p in [&plain, &churned] {
-            let s = p.stats();
-            assert_eq!(s.table_bytes, plain.stats().table_bytes);
-            assert_eq!((s.cdf_vertices, s.rejection_vertices), (2, 0));
-            assert_eq!(p.method_of(0), Some(SamplingMethod::Cdf));
-        }
-        // Same tables ⇒ same draws from the same stream.
-        let (_, times) = g.neighbor_slices(0);
-        let (mut a, mut b) = (WalkRng::new(17), WalkRng::new(17));
-        for _ in 0..200 {
-            assert_eq!(
-                plain.sample(0, times, 0, f64::NEG_INFINITY, &mut a),
-                churned.sample(0, times, 0, f64::NEG_INFINITY, &mut b)
-            );
-        }
-    }
-
-    #[test]
-    fn churned_vertices_sample_by_rejection() {
-        let g = two_hubs();
-        // The out-of-range id is ignored.
-        let p = TransitionSampler::SoftmaxRecency.prepare_churned(&g, &[0, 9_999]);
-        assert_eq!(p.method_of(0), Some(SamplingMethod::Rejection));
-        assert_eq!(p.method_of(1), Some(SamplingMethod::Cdf));
-        let s = p.stats();
-        assert_eq!((s.cdf_vertices, s.rejection_vertices), (1, 1));
-    }
-
-    #[test]
-    fn churning_every_vertex_builds_no_tables_beyond_the_method_map() {
-        let g = two_hubs();
-        let all: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
-        let p = TransitionSampler::Softmax.prepare_churned(&g, &all);
-        let s = p.stats();
-        assert_eq!(s.table_bytes, g.num_nodes() * std::mem::size_of::<SamplingMethod>());
-        assert_eq!(s.rejection_vertices, 2);
-        assert_eq!(s.cdf_vertices, 0);
-    }
-
-    #[test]
-    fn rejection_tracks_the_analytic_distribution() {
-        let times: Vec<f64> = (0..32).map(|i| i as f64 / 31.0).collect();
-        let g = star(&times);
-        let deg = times.len();
-        for (recency, bias) in
-            [(false, TransitionSampler::Softmax), (true, TransitionSampler::SoftmaxRecency)]
-        {
-            let anchor = if recency { times[0] } else { times[deg - 1] };
-            let p = bias.prepare_churned(&g, &[0]);
-            assert_eq!(p.method_of(0), Some(SamplingMethod::Rejection));
-            let (_, seg) = g.neighbor_slices(0);
-            for lo in [0usize, deg / 3] {
-                let w: Vec<f64> = times[lo..]
-                    .iter()
-                    .map(|&t| {
-                        let e = if recency { -(t - anchor) } else { t - anchor };
-                        e.exp() // span is 1.0 for this star
-                    })
-                    .collect();
-                let total: f64 = w.iter().sum();
-                let mut counts = vec![0usize; deg - lo];
-                let mut rng = WalkRng::new(23);
-                let draws = 30_000;
-                for _ in 0..draws {
-                    let pick = p.sample(0, seg, lo, f64::NEG_INFINITY, &mut rng);
-                    assert!((lo..deg).contains(&pick), "rejection escaped suffix");
-                    counts[pick - lo] += 1;
-                }
-                for i in 0..deg - lo {
-                    let expect = w[i] / total;
-                    let got = counts[i] as f64 / draws as f64;
-                    assert!(
-                        (got - expect).abs() < 0.015,
-                        "{bias:?} lo={lo} bin {i}: {got:.4} vs {expect:.4}"
-                    );
-                }
-            }
-        }
+    fn weighted_tables_must_take_their_rows_from_the_graph() {
+        let g = tgraph::gen::preferential_attachment(200, 3, 5).undirected(true).build();
+        let m = g.num_edges();
+        let p = TransitionSampler::Softmax.prepare(&g);
+        let Some(SamplerTables::Weighted { recency, span, cdf }) = p.export_tables() else {
+            panic!("softmax exports weighted tables");
+        };
+        let offsets = g.csr_parts().0;
+        let open = |rows: &[usize], cdf: &[f64]| {
+            let t = WeightedTables {
+                recency,
+                span,
+                rows: rows.to_vec().into(),
+                cdf: cdf.to_vec().into(),
+            };
+            PreparedSampler::from_weighted_tables(t, &g)
+        };
+        let reopened = open(offsets, cdf).expect("the graph's own rows");
+        assert_eq!(reopened.stats().table_bytes, p.stats().table_bytes);
+        // Monotone, starting at 0 and ending at the payload length: the
+        // right shape, but not `g`'s rows, so a walk would index past a
+        // vertex's row.
+        let mut forged = vec![0; offsets.len()];
+        forged[offsets.len() - 1] = m;
+        let err = open(&forged, cdf).unwrap_err();
+        assert!(err.contains("row bound 1 differs"), "{err}");
+        assert!(open(&offsets[1..], cdf).unwrap_err().contains("row bounds"));
+        assert!(open(offsets, &cdf[1..]).unwrap_err().contains("weights"));
     }
 }

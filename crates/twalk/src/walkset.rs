@@ -366,7 +366,6 @@ mod tests {
         let b = a.clone().with_sampler_stats(SamplerBuildStats {
             build_time: std::time::Duration::from_millis(5),
             table_bytes: 64,
-            ..Default::default()
         });
         assert_eq!(a, b);
         assert!(a.sampler_stats().is_none());

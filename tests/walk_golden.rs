@@ -4,19 +4,16 @@
 //! Each case hashes (FNV-1a-64 over the little-endian `u32` length and
 //! vertices of every walk) the output of the public bulk entry points,
 //! folded over the four biases, both start sets (every vertex, and a
-//! source list with repeats) and walk lengths 1 and 6. The grid crosses a
-//! graph zoo with two sampler setups: the all-CDF `prepare`, and
-//! `prepare_churned`, which sends every third vertex to rejection. The zoo includes graphs large enough
-//! that a full run's working set outgrows a small last-level cache, both
-//! sparse and dense, so every walk execution path is pinned. Walk output
-//! does not depend on the SIMD backend; CI runs this file again under
-//! `SIMD_FORCE_SCALAR=1`.
+//! source list with repeats) and walk lengths 1 and 6, for every graph of
+//! a zoo. The zoo includes graphs large enough that a full run's working
+//! set outgrows a small last-level cache, both sparse and dense, so every
+//! walk execution path is pinned. Walk output does not depend on the SIMD
+//! backend; CI runs this file again under `SIMD_FORCE_SCALAR=1`.
 
 use par::ParConfig;
 use tgraph::{GraphBuilder, TemporalEdge, TemporalGraph};
 use twalk::{
-    generate_walks_from_prepared, generate_walks_prepared, PreparedSampler, TransitionSampler,
-    WalkConfig, WalkSet,
+    generate_walks_from_prepared, generate_walks_prepared, TransitionSampler, WalkConfig, WalkSet,
 };
 
 const BIASES: [TransitionSampler; 4] = [
@@ -25,8 +22,6 @@ const BIASES: [TransitionSampler; 4] = [
     TransitionSampler::SoftmaxRecency,
     TransitionSampler::LinearTime,
 ];
-
-const SETUPS: [&str; 2] = ["cdf", "churned"];
 
 fn fnv1a64(h: u64, words: impl Iterator<Item = u32>) -> u64 {
     let mut h = h;
@@ -75,26 +70,14 @@ fn graphs() -> Vec<(&'static str, TemporalGraph)> {
     ]
 }
 
-fn sampler(setup: &str, bias: TransitionSampler, g: &TemporalGraph) -> PreparedSampler {
-    let n = g.num_nodes() as u32;
-    match setup {
-        "cdf" => bias.prepare(g),
-        "churned" => {
-            let churned: Vec<u32> = (0..n).filter(|v| v % 3 == 0).collect();
-            bias.prepare_churned(g, &churned)
-        }
-        _ => unreachable!("unknown setup {setup}"),
-    }
-}
-
-/// The digest of one `(graph, setup)` cell, over every bias.
-fn cell(g: &TemporalGraph, setup: &str) -> u64 {
+/// The digest of one graph's cell, over every bias.
+fn cell(g: &TemporalGraph) -> u64 {
     let n = g.num_nodes() as u32;
     let sources = [0, 5 % n, 0, n - 1, 17 % n, 5 % n, n / 2, n - 1];
     let par = ParConfig::with_threads(2);
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for bias in BIASES {
-        let prepared = sampler(setup, bias, g);
+        let prepared = bias.prepare(g);
         for len in [1usize, 6] {
             let cfg = WalkConfig::new(2, len).sampler(bias).seed(29);
             h = fold(h, &generate_walks_prepared(g, &cfg, &prepared, &par));
@@ -104,31 +87,22 @@ fn cell(g: &TemporalGraph, setup: &str) -> u64 {
     h
 }
 
-/// `"graph/setup"` and its digest, for every cell of the grid.
+/// `"graph/cdf"` and its digest, for every graph of the zoo.
 const GOLDEN: &[(&str, u64)] = &[
     ("erdos-renyi/cdf", 0x154a_3a7c_f8f4_bf6e),
-    ("erdos-renyi/churned", 0xc24d_df3d_0610_3ef6),
     ("pref-attach/cdf", 0xd91d_8d3e_add0_7362),
-    ("pref-attach/churned", 0x97dd_a2f2_ee76_4084),
     ("chain/cdf", 0x27f2_487d_7311_7525),
-    ("chain/churned", 0x27f2_487d_7311_7525),
     ("isolated-tail/cdf", 0x3623_d69b_9d18_35a5),
-    ("isolated-tail/churned", 0x3623_d69b_9d18_35a5),
     ("er-2k/cdf", 0xf9aa_4ea2_42de_571f),
-    ("er-2k/churned", 0xe360_691c_c85a_9ba5),
     ("pa-100k-m4/cdf", 0x8047_5ba8_e955_d65b),
-    ("pa-100k-m4/churned", 0x3f9b_f254_48bf_7e2e),
     ("pa-6k-m64/cdf", 0xc60b_7fe5_89e9_69c7),
-    ("pa-6k-m64/churned", 0x53e2_5b3d_d82e_9434),
 ];
 
 #[test]
 fn walks_match_golden_digests() {
     let mut got = Vec::new();
     for (name, g) in graphs() {
-        for setup in SETUPS {
-            got.push(format!("{name}/{setup}: {:016x}", cell(&g, setup)));
-        }
+        got.push(format!("{name}/cdf: {:016x}", cell(&g)));
     }
     let want: Vec<String> = GOLDEN.iter().map(|(c, d)| format!("{c}: {d:016x}")).collect();
     assert_eq!(got, want);
