@@ -215,9 +215,11 @@ fn worker_loop(
                 }
                 state = shard.nonempty.wait(state).expect("shard lock poisoned");
             }
+            // Lowered under the lock, like `try_submit` raises it, so a
+            // submit cannot refill the queue before the gauge drops.
+            shard.depth.sub(state.jobs.len() as i64);
             state.jobs.drain(..).collect()
         };
-        shard.depth.sub(jobs.len() as i64);
         let mut meta = Vec::with_capacity(jobs.len());
         let mut requests = Vec::with_capacity(jobs.len());
         for job in jobs {
@@ -358,5 +360,37 @@ mod tests {
         release_tx.send(()).expect("worker is parked");
         drop(pool); // drains the queued jobs and joins the worker
         assert_eq!(completions.drain().len(), 1 + budget);
+    }
+
+    #[test]
+    fn depth_gauge_never_reads_above_the_budget() {
+        // A worker that drains and answers as fast as one submitter can
+        // refill: if the worker lowered the gauge after releasing the
+        // queue lock, a submit in that window would raise it first and
+        // the read below would see more than `budget` queued jobs.
+        let svc = service();
+        let completions = Arc::new(CompletionQueue::new());
+        let budget = 2;
+        let pool = ShardPool::new(&svc, &completions, Arc::new(|| {}), 1, budget);
+        let depth = &pool.shards[0].depth;
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        let (mut accepted, mut max_read, mut above) = (0u64, 0i64, 0u64);
+        while std::time::Instant::now() < deadline {
+            let request = Request::LinkScore { u: (accepted % 16) as u32, v: 3 };
+            if pool.try_submit(Job { conn: 0, seq: accepted, request }).is_ok() {
+                accepted += 1;
+                let read = depth.get();
+                max_read = max_read.max(read);
+                above += u64::from(read > budget as i64);
+            }
+            if accepted % 64 == 0 {
+                drop(completions.drain());
+            }
+        }
+        assert!(accepted > 0, "no submission was accepted");
+        assert_eq!(
+            above, 0,
+            "{above} of {accepted} reads exceeded the budget {budget} (max {max_read})"
+        );
     }
 }
