@@ -11,12 +11,8 @@
 //!
 //! Custom harness (not the criterion shim) because the gate needs to
 //! toggle process-global state between timed sections and to *assert* on
-//! the ratio, not just report it. Results are still appended to
-//! `$BENCH_JSON` in the shim's JSON-lines schema so the CI perf artifact
-//! picks them up.
-//!
-//! Knobs: `--test` shrinks rep counts for smoke runs;
-//! `OBS_OVERHEAD_MAX_PCT` overrides the threshold (CI uses the default).
+//! the ratio, not just report it. `--test` shrinks rep counts for smoke
+//! runs.
 
 use std::time::{Duration, Instant};
 
@@ -35,39 +31,10 @@ fn workload(g: &tgraph::TemporalGraph, par: &ParConfig) -> Duration {
     t0.elapsed()
 }
 
-fn append_json(name: &str, samples: usize, min: Duration, mean: Duration, max: Duration) {
-    use std::io::Write;
-    let Some(path) = std::env::var_os("BENCH_JSON").filter(|p| !p.is_empty()) else {
-        return;
-    };
-    let line = format!(
-        "{{\"bench\":\"{name}\",\"samples\":{samples},\"min_ns\":{},\"mean_ns\":{},\"max_ns\":{}}}\n",
-        min.as_nanos(),
-        mean.as_nanos(),
-        max.as_nanos(),
-    );
-    let written = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| f.write_all(line.as_bytes()));
-    if let Err(e) = written {
-        eprintln!("BENCH_JSON: could not append: {e}");
-    }
-}
-
-fn stats(times: &[Duration]) -> (Duration, Duration, Duration) {
-    let min = *times.iter().min().unwrap();
-    let max = *times.iter().max().unwrap();
-    let mean = times.iter().sum::<Duration>() / times.len() as u32;
-    (min, mean, max)
-}
-
 fn main() {
     let test_mode = std::env::args().any(|a| a == "--test");
     let reps = if test_mode { 3 } else { 9 };
-    let max_pct: f64 =
-        std::env::var("OBS_OVERHEAD_MAX_PCT").ok().and_then(|s| s.parse().ok()).unwrap_or(2.0);
+    let max_pct = 2.0;
 
     let g = tgraph::gen::preferential_attachment(4_000, 4, 11).undirected(true).build();
     let par = ParConfig::default();
@@ -81,20 +48,14 @@ fn main() {
 
     // Interleave OFF/ON passes so frequency scaling and background noise
     // hit both sides equally.
-    let mut off = Vec::with_capacity(reps);
-    let mut on = Vec::with_capacity(reps);
+    let (mut off_min, mut on_min) = (Duration::MAX, Duration::MAX);
     for _ in 0..reps {
         obs::set_global_enabled(false);
-        off.push(workload(&g, &par));
+        off_min = off_min.min(workload(&g, &par));
         obs::set_global_enabled(true);
-        on.push(workload(&g, &par));
+        on_min = on_min.min(workload(&g, &par));
     }
     obs::set_global_enabled(false);
-
-    let (off_min, off_mean, off_max) = stats(&off);
-    let (on_min, on_mean, on_max) = stats(&on);
-    append_json("obs_overhead/walk+w2v/recorder_off", reps, off_min, off_mean, off_max);
-    append_json("obs_overhead/walk+w2v/recorder_on", reps, on_min, on_mean, on_max);
 
     let overhead_pct = (on_min.as_secs_f64() / off_min.as_secs_f64() - 1.0) * 100.0;
     println!(

@@ -6,8 +6,6 @@
 //! figures and tables, so `cargo run -p rwalk-bench --bin fig05_w2v_batching`
 //! regenerates the Fig. 5 data.
 
-pub mod trendgate;
-
 use std::time::{Duration, Instant};
 
 /// Parses `--scale` from the process arguments (default `1.0`).

@@ -39,8 +39,8 @@
 //! the transport: `reactor` (default; epoll event loop + `--shards`
 //! consistent-hash query workers with `--shard-budget` admission
 //! control, `--max-conns`, `--idle-timeout-ms`) or `blocking`
-//! (thread-per-connection on `--threads` handlers, kept for A/B runs
-//! with the `loadgen` bench binary).
+//! (thread-per-connection on `--threads` handlers, kept for hosts the
+//! reactor does not support).
 //!
 //! Persistence (README "Persistence", DESIGN.md §14): `pack` writes
 //! store files — `--graph-out` the ingested graph plus its prepared
@@ -520,8 +520,7 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
     };
 
     // `--io` selects the transport: the readiness-driven reactor
-    // (default) or the thread-per-connection blocking server, kept for
-    // A/B comparison (see `loadgen` in crates/bench).
+    // (default) or the thread-per-connection blocking server.
     if o.io == "reactor" {
         let config = rwserve::ReactorConfig {
             shards: o.shards,

@@ -6,12 +6,13 @@
 //! nothing bounds the work queued behind it. This module replaces the
 //! front end with a reactor (DESIGN.md §15):
 //!
-//! - **One event loop** (`epoll`, raw syscalls in [`sys`] following the
-//!   `crates/store` mmap precedent) owns the listener, every connection,
-//!   and an eventfd the shard workers use to hand finished responses
-//!   back. Sockets are nonblocking; per-connection state machines
-//!   ([`conn`]) handle JSON-lines framing across arbitrary read
-//!   boundaries and resume partial writes when send buffers fill.
+//! - **One event loop** (`epoll`, raw syscalls in the crate-private
+//!   `sys` module following the `crates/store` mmap precedent) owns the
+//!   listener, every connection, and an eventfd the shard workers use to
+//!   hand finished responses back. Sockets are nonblocking;
+//!   per-connection state machines ([`conn`]) handle JSON-lines framing
+//!   across arbitrary read boundaries and resume partial writes when
+//!   send buffers fill.
 //! - **Shard workers** ([`crate::shard`]) own disjoint consistent-hash
 //!   ranges of the request key space. The reactor parses on the loop and
 //!   submits; a worker drains its queue in one gulp and scores all the
@@ -33,7 +34,7 @@
 pub mod conn;
 
 #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"), not(miri)))]
-pub mod sys;
+pub(crate) mod sys;
 
 use std::time::Duration;
 
